@@ -35,12 +35,6 @@ def main(argv=None) -> int:
                         help="compare wall_s fields within this relative "
                              "fraction (e.g. 0.25 = 25%%) instead of "
                              "ignoring them")
-    parser.add_argument("--ignore", action="append", default=[],
-                        metavar="KEY",
-                        help="additionally ignore this report key (repeat "
-                             "for several); the queue-equivalence gate "
-                             "ignores bucket_overflows, the one counter "
-                             "that depends on the queue implementation")
     parser.add_argument("--wall-floor", type=float, default=0.0,
                         metavar="SECONDS",
                         help="absolute noise floor for --tolerance: wall "
@@ -56,10 +50,9 @@ def main(argv=None) -> int:
     first = json.loads(args.first.read_text())
     second = json.loads(args.second.read_text())
     differences = bench_diff(first, second, wall_tolerance=args.tolerance,
-                             ignore_keys=args.ignore,
                              wall_floor_s=args.wall_floor)
-    ignored = sorted((VOLATILE_KEYS if args.tolerance is None
-                      else VOLATILE_KEYS - WALL_KEYS) | set(args.ignore))
+    ignored = sorted(VOLATILE_KEYS if args.tolerance is None
+                     else VOLATILE_KEYS - WALL_KEYS)
     if differences:
         print(f"{args.first} and {args.second} differ beyond {ignored}:")
         for line in differences:

@@ -43,7 +43,7 @@ from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.events import PENDING, PROCESSED, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.queue import make_queue
+from repro.sim.queue import HeapQueue
 from repro.sim.rng import RandomStreams
 from repro.sim.snapshot import KernelSnapshot, SnapshotError
 
@@ -75,19 +75,17 @@ class EventStats:
     * ``idle_polls_skipped`` — idle poll ticks the doorbell quantization
       stepped over without scheduling an event.
 
-    Queue-depth observability (synced lazily from the event queue so
-    the hot path pays nothing beyond the queue's own counters):
+    Queue-depth observability, written by the simulator's
+    :class:`~repro.sim.queue.HeapQueue` as it pushes and pops:
 
     * ``events_pushed`` — total entries pushed into the event queue;
     * ``queue_len_max`` — high-water mark of the queue depth;
     * ``queue_len_sum`` — queue depth summed at every pop
-      (``queue_len_sum / events_popped`` is the mean depth);
-    * ``bucket_overflows`` — calendar-queue entries scheduled beyond
-      the bucket horizon (always 0 for the heap queue).
+      (``queue_len_sum / events_popped`` is the mean depth).
 
-    Direct attribute reads of the queue-synced counters can be stale
-    mid-run; :meth:`as_dict` and :func:`global_event_totals` sync
-    first and are the supported read paths.
+    The object holds plain integers and no reference to its simulator
+    or queue, so the global registry below never keeps a finished
+    simulation alive.
     """
 
     _COUNTERS = (
@@ -100,28 +98,15 @@ class EventStats:
         "events_pushed",
         "queue_len_max",
         "queue_len_sum",
-        "bucket_overflows",
     )
 
-    __slots__ = _COUNTERS + ("_queue",)
+    __slots__ = _COUNTERS
 
     def __init__(self):
         for name in self._COUNTERS:
             setattr(self, name, 0)
-        self._queue = None
-
-    def sync(self) -> "EventStats":
-        """Pull the queue-owned counters into this object."""
-        queue = self._queue
-        if queue is not None:
-            self.events_pushed = queue.pushes
-            self.queue_len_max = queue.len_max
-            self.queue_len_sum = queue.len_sum
-            self.bucket_overflows = queue.overflows
-        return self
 
     def as_dict(self) -> dict:
-        self.sync()
         return {name: getattr(self, name) for name in self._COUNTERS}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -145,7 +130,6 @@ def global_event_totals() -> dict:
     """
     totals = {name: 0 for name in EventStats._COUNTERS}
     for stats in _ALL_STATS:
-        stats.sync()
         for name in EventStats._COUNTERS:
             if name == "queue_len_max":
                 totals[name] = max(totals[name], stats.queue_len_max)
@@ -255,25 +239,22 @@ class Simulator:
         event through the generic callback path. Observable behavior is
         identical (the property tests assert so); the flag exists as
         the reference baseline for those tests.
-    queue:
-        Event-queue implementation: ``None`` (process default, see
-        ``REPRO_QUEUE``), a kind string (``"calendar"``/``"heap"``), or
-        a queue instance. All implementations share the exact pop-order
-        contract — ascending ``(when, insertion counter)`` — so the
-        choice is invisible to simulation results.
+
+    Events wait in a :class:`~repro.sim.queue.HeapQueue` and pop in
+    ascending ``(when, insertion counter)`` order; the queue counts its
+    traffic and depth into :attr:`stats`.
     """
 
-    def __init__(self, seed: int = 0, fast_path: bool = True, queue=None):
+    def __init__(self, seed: int = 0, fast_path: bool = True):
         self._now = 0.0
-        self._queue = make_queue(queue)
+        self.stats = EventStats()
+        _ALL_STATS.append(self.stats)
+        self._queue = HeapQueue(self.stats)
         self._counter = itertools.count()
         self.streams = RandomStreams(seed)
         self._active_process: Optional[Process] = None
         self._fast_path = fast_path
         self._participants: dict = {}
-        self.stats = EventStats()
-        self.stats._queue = self._queue
-        _ALL_STATS.append(self.stats)
         # Audit registries: weak references so tracking never extends a
         # process's or primitive's lifetime. Dead refs are pruned lazily
         # whenever a list doubles past its last compaction size.
@@ -361,9 +342,9 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         """Schedule ``event`` to pop ``delay`` seconds from now.
 
-        With :meth:`_schedule_at`, this is the *only* way entries enter
-        the event queue — no module outside ``sim/core.py`` touches the
-        queue representation, which is what makes it swappable.
+        With :meth:`_schedule_at` and :meth:`schedule_batch`, this is
+        the *only* way entries enter the event queue — no module
+        outside ``sim/core.py`` touches the queue representation.
         """
         self._queue.push(self._now + delay, next(self._counter), event)
 
@@ -380,21 +361,14 @@ class Simulator:
         :meth:`_schedule_at` in a loop — same pop order, same
         counters — but homogeneous floods (the vectorized churn
         engine's batch wakeups) pay one bulk ``push_batch`` instead of
-        a Python-level push per event. Falls back to the loop when the
-        queue implementation lacks ``push_batch``.
+        a Python-level push per event.
         """
         if len(whens) != len(events):
             raise ValueError(
                 f"whens/events length mismatch: {len(whens)} != {len(events)}")
         counter = self._counter
-        push_batch = getattr(self._queue, "push_batch", None)
-        if push_batch is None:
-            push = self._queue.push
-            for when, event in zip(whens, events):
-                push(float(when), next(counter), event)
-            return
-        push_batch([(float(when), next(counter), event)
-                    for when, event in zip(whens, events)])
+        self._queue.push_batch([(float(when), next(counter), event)
+                                for when, event in zip(whens, events)])
 
     # -- main loop ----------------------------------------------------------
     def _dispatch(self, event: Event) -> None:
@@ -611,18 +585,6 @@ class Simulator:
         self.streams.restore(snapshot.rng_states)
         for key, state in snapshot.participants.items():
             self._participants[key].restore_state(state)
-        queue = self._queue
-        stats = self.stats
-        if restore_stats:
-            for name in EventStats._COUNTERS:
-                setattr(stats, name, snapshot.stats.get(name, 0))
-            queue.pushes = stats.events_pushed
-            queue.pops = stats.events_popped
-            queue.len_max = stats.queue_len_max
-            queue.len_sum = stats.queue_len_sum
-            queue.overflows = stats.bucket_overflows
-        else:
-            for name in EventStats._COUNTERS:
-                setattr(stats, name, 0)
-            queue.pushes = queue.pops = 0
-            queue.len_max = queue.len_sum = queue.overflows = 0
+        for name in EventStats._COUNTERS:
+            setattr(self.stats, name,
+                    snapshot.stats.get(name, 0) if restore_stats else 0)

@@ -8,11 +8,15 @@ bottom drives a random mix of timeouts and doorbell park/ring traffic
 through both kernels and requires bit-identical traces.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Doorbell, Simulator, set_idle_skip_default
+from repro.sim import (Doorbell, Simulator, global_event_totals,
+                       set_idle_skip_default)
 
 
 @pytest.fixture
@@ -67,7 +71,6 @@ class TestEventStats:
             "events_popped", "fast_path_hits", "idle_poll_events",
             "doorbell_parks", "doorbell_rings", "idle_polls_skipped",
             "events_pushed", "queue_len_max", "queue_len_sum",
-            "bucket_overflows",
         }
 
     def test_queue_depth_counters_track_traffic(self, sim):
@@ -81,6 +84,20 @@ class TestEventStats:
         assert d["events_pushed"] == d["events_popped"] == 3
         assert d["queue_len_max"] >= 1
         assert d["queue_len_sum"] >= d["events_popped"]
+
+    def test_stats_registry_does_not_keep_finished_simulators_alive(self):
+        pushed_before = global_event_totals()["events_pushed"]
+        sim = Simulator(seed=0)
+        sim.timeout(5.0)
+        sim.run(until=1.0)
+        assert len(sim._queue) == 1  # the timeout is still queued
+        pushed = sim.stats.events_pushed
+        ref = weakref.ref(sim)
+        del sim
+        gc.collect()
+        assert ref() is None
+        # The registry still counts the collected simulator's traffic.
+        assert global_event_totals()["events_pushed"] - pushed_before == pushed
 
 
 class TestFastLaneSemantics:

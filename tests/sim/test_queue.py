@@ -1,24 +1,26 @@
-"""Event-queue contract: every implementation pops identically.
+"""Event-queue contract: ascending ``(when, insertion counter)``.
 
-The kernel's ordering contract is ascending ``(when, insertion
-counter)`` with counters unique at push time. The calendar queue is
-only allowed to exist because it is observably identical to the
-reference heap — the property tests here drive random schedules,
-including interleaved push/pop and the peek-advance-then-earlier-push
-pattern that exercises the active-bucket swap repair, through both
-implementations and require bit-identical pop sequences.
+The kernel's ordering contract is exact, with counters unique at push
+time. The property tests here drive random push/pop/peek/``push_batch``
+schedules through :class:`HeapQueue` and through a naive sorted-list
+model of the contract, and require identical observations and
+counters.
 """
 
+import bisect
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CalendarQueue, HeapQueue, Simulator, make_queue
-from repro.sim.queue import QUEUE_KINDS, default_queue_kind
+from repro.sim import EventStats, HeapQueue, Simulator
 
-ALL_KINDS = sorted(QUEUE_KINDS)
+_COUNTERS = ("events_pushed", "queue_len_max", "queue_len_sum")
+
+
+def _queue():
+    return HeapQueue(EventStats())
 
 
 def _drain(queue):
@@ -30,18 +32,21 @@ def _drain(queue):
             return out
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+def _counters(queue):
+    return {name: getattr(queue._stats, name) for name in _COUNTERS}
+
+
 class TestQueueBasics:
-    def test_pops_in_when_then_counter_order(self, kind):
-        queue = make_queue(kind)
+    def test_pops_in_when_then_counter_order(self):
+        queue = _queue()
         entries = [(3e-6, 0, "a"), (1e-6, 1, "b"), (3e-6, 2, "c"),
                    (0.0, 3, "d"), (1e-6, 4, "e")]
         for when, counter, event in entries:
             queue.push(when, counter, event)
         assert _drain(queue) == sorted(entries)
 
-    def test_len_tracks_contents(self, kind):
-        queue = make_queue(kind)
+    def test_len_tracks_contents(self):
+        queue = _queue()
         assert len(queue) == 0
         queue.push(1e-6, 0, None)
         queue.push(2e-6, 1, None)
@@ -51,101 +56,69 @@ class TestQueueBasics:
         queue.pop()
         assert len(queue) == 0
 
-    def test_peek_when_without_popping(self, kind):
-        queue = make_queue(kind)
+    def test_peek_when_without_popping(self):
+        queue = _queue()
         assert queue.peek_when() == float("inf")
         queue.push(5e-6, 0, None)
         queue.push(2e-6, 1, None)
         assert queue.peek_when() == 2e-6
         assert len(queue) == 2
 
-    def test_empty_pop_raises_without_counter_side_effects(self, kind):
-        queue = make_queue(kind)
+    def test_empty_pop_raises_without_counter_side_effects(self):
+        queue = _queue()
         queue.push(1e-6, 0, None)
         queue.pop()
-        before = (queue.pushes, queue.pops, queue.len_max, queue.len_sum,
-                  queue.overflows, len(queue))
+        before = (_counters(queue), len(queue))
         for _ in range(3):
             with pytest.raises(IndexError):
                 queue.pop()
-        after = (queue.pushes, queue.pops, queue.len_max, queue.len_sum,
-                 queue.overflows, len(queue))
-        assert after == before
+        assert (_counters(queue), len(queue)) == before
 
-    def test_traffic_and_depth_counters(self, kind):
-        queue = make_queue(kind)
+    def test_traffic_and_depth_counters(self):
+        queue = _queue()
         for counter in range(4):
             queue.push(counter * 1e-6, counter, None)
-        assert queue.pushes == 4
-        assert queue.len_max == 4
+        assert queue._stats.events_pushed == 4
+        assert queue._stats.queue_len_max == 4
         _drain(queue)
-        assert queue.pops == 4
-        # len_sum accumulates the pre-pop depth: 4 + 3 + 2 + 1.
-        assert queue.len_sum == 10
+        # queue_len_sum accumulates the pre-pop depth: 4 + 3 + 2 + 1.
+        assert queue._stats.queue_len_sum == 10
 
 
-class TestCalendarSpecifics:
-    def test_far_future_entries_overflow(self):
-        queue = CalendarQueue(bucket_width_s=1e-6, horizon_buckets=16)
-        queue.push(1e-6, 0, "near")
-        queue.push(1.0, 1, "far")  # 1e6 buckets ahead
-        assert queue.overflows == 1
-        assert [entry[2] for entry in _drain(queue)] == ["near", "far"]
+# -- property: the heap matches a naive model of the contract ----------
 
-    def test_overflow_merges_by_entry_order(self):
-        queue = CalendarQueue(bucket_width_s=1e-6, horizon_buckets=4)
-        queue.push(1.0, 0, "far")
-        assert queue.peek_when() == 1.0
-        # Refold then race the overflow head against near-term work.
-        queue.push(0.5, 1, "near")
-        assert [entry[2] for entry in _drain(queue)] == ["near", "far"]
+class _SortedListModel:
+    """The pop-order contract and its counters, spelled out naively."""
 
-    def test_earlier_push_after_peek_advance(self):
-        # peek_when() advances the active tick past empty buckets; a
-        # subsequent earlier push must still pop first (the _select swap).
-        queue = CalendarQueue(bucket_width_s=1e-6)
-        queue.push(100e-6, 0, "late")
-        assert queue.peek_when() == 100e-6
-        queue.push(3e-6, 1, "early")
-        assert [entry[2] for entry in _drain(queue)] == ["early", "late"]
+    def __init__(self):
+        self.entries = []
+        self.counters = dict.fromkeys(_COUNTERS, 0)
 
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            CalendarQueue(bucket_width_s=0.0)
-        with pytest.raises(ValueError):
-            CalendarQueue(horizon_buckets=0)
+    def __len__(self):
+        return len(self.entries)
 
+    def push(self, when, counter, event):
+        bisect.insort(self.entries, (when, counter, event))
+        self.counters["events_pushed"] += 1
+        self.counters["queue_len_max"] = max(self.counters["queue_len_max"],
+                                             len(self.entries))
 
-class TestSelection:
-    def test_make_queue_kinds(self):
-        assert isinstance(make_queue("heap"), HeapQueue)
-        assert isinstance(make_queue("calendar"), CalendarQueue)
+    def push_batch(self, entries):
+        for entry in entries:
+            self.push(*entry)
 
-    def test_make_queue_passes_instances_through(self):
-        tuned = CalendarQueue(bucket_width_s=2e-6)
-        assert make_queue(tuned) is tuned
+    def pop(self):
+        if not self.entries:
+            raise IndexError("pop from an empty event queue")
+        self.counters["queue_len_sum"] += len(self.entries)
+        return self.entries.pop(0)
 
-    def test_make_queue_rejects_unknowns(self):
-        with pytest.raises(ValueError, match="unknown queue kind"):
-            make_queue("splay")
-        with pytest.raises(TypeError):
-            make_queue(42)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUE", "heap")
-        assert default_queue_kind() == "heap"
-        assert Simulator(queue=None)._queue.kind == "heap"
-        monkeypatch.setenv("REPRO_QUEUE", "nonsense")
-        assert default_queue_kind() == "calendar"
-        monkeypatch.delenv("REPRO_QUEUE")
-        assert default_queue_kind() == "calendar"
+    def peek_when(self):
+        return self.entries[0][0] if self.entries else float("inf")
 
 
-# -- property: bit-identical pop sequences across implementations ------
-
-# A schedule is a list of operations: ("push", when) or ("pop",).
-# Timestamps mix the dense near-monotonic case the calendar is tuned
-# for with far-future outliers that exercise the overflow heap.
+# Timestamps mix dense near-monotonic microsecond schedules with
+# far-future outliers (boot delays, watchdog budgets).
 _whens = st.one_of(
     st.floats(min_value=0.0, max_value=200e-6, allow_nan=False,
               allow_infinity=False),
@@ -154,6 +127,7 @@ _whens = st.one_of(
 )
 _ops = st.lists(
     st.one_of(st.tuples(st.just("push"), _whens),
+              st.tuples(st.just("batch"), st.lists(_whens, max_size=40)),
               st.tuples(st.just("pop")),
               st.tuples(st.just("peek"))),
     max_size=200,
@@ -167,6 +141,8 @@ def _run_schedule(queue, ops):
     for op in ops:
         if op[0] == "push":
             queue.push(op[1], next(counter), None)
+        elif op[0] == "batch":
+            queue.push_batch([(when, next(counter), None) for when in op[1]])
         elif op[0] == "peek":
             observed.append(("peek", queue.peek_when()))
         else:
@@ -174,51 +150,21 @@ def _run_schedule(queue, ops):
                 observed.append(("pop", queue.pop()[:2]))
             except IndexError:
                 observed.append(("pop", "empty"))
+        observed.append(("len", len(queue)))
     observed.append(("drain", [entry[:2] for entry in _drain(queue)]))
     return observed
 
 
 @settings(max_examples=200, deadline=None)
 @given(ops=_ops)
-def test_property_identical_pop_order_heap_vs_calendar(ops):
-    reference = _run_schedule(HeapQueue(), ops)
-    # A narrow bucket and tiny horizon force bucket churn and overflow
-    # on the same schedules the wide default absorbs silently.
-    for queue in (CalendarQueue(),
-                  CalendarQueue(bucket_width_s=1e-6, horizon_buckets=8)):
-        assert _run_schedule(queue, ops) == reference
+def test_property_heap_matches_sorted_list_model(ops):
+    heap = _queue()
+    model = _SortedListModel()
+    assert _run_schedule(heap, ops) == _run_schedule(model, ops)
+    assert _counters(heap) == model.counters
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_property_simulator_trace_independent_of_queue(seed):
-    """A small process workload leaves an identical trace on both queues."""
-
-    def trace_with(kind):
-        sim = Simulator(seed=seed, queue=kind)
-        log = []
-
-        def worker(name, period):
-            for step in range(5):
-                yield sim.timeout(period)
-                log.append((round(sim.now, 12), name, step,
-                            float(sim.streams.get(f"w.{name}").uniform())))
-
-        for name, period in (("a", 3e-6), ("b", 7e-6), ("c", 11e-6)):
-            sim.spawn(worker(name, period))
-        sim.run()
-        return log
-
-    assert trace_with("heap") == trace_with("calendar")
-
-
-# -- batch operations (push_batch / pop_batch) -------------------------
-
-def _counters(queue):
-    return {name: getattr(queue, name)
-            for name in ("pushes", "pops", "len_max", "len_sum",
-                         "overflows")}
-
+# -- push_batch --------------------------------------------------------
 
 _batch_whens = st.lists(
     st.floats(min_value=0.0, max_value=1e-3,
@@ -227,17 +173,16 @@ _batch_whens = st.lists(
 )
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
 @settings(max_examples=150, deadline=None)
 @given(pre=_batch_whens, batch=_batch_whens)
-def test_property_push_batch_equals_sequential_pushes(kind, pre, batch):
+def test_property_push_batch_equals_sequential_pushes(pre, batch):
     """push_batch is observably one loop of push: order AND counters."""
     counter = itertools.count()
     pre_entries = [(when, next(counter), None) for when in pre]
     batch_entries = [(when, next(counter), None) for when in batch]
 
-    sequential = make_queue(kind)
-    batched = make_queue(kind)
+    sequential = _queue()
+    batched = _queue()
     for entry in pre_entries:
         sequential.push(*entry)
         batched.push(*entry)
@@ -249,44 +194,11 @@ def test_property_push_batch_equals_sequential_pushes(kind, pre, batch):
     assert _drain(batched) == _drain(sequential)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-@settings(max_examples=150, deadline=None)
-@given(whens=_batch_whens)
-def test_property_pop_batch_equals_sequential_pops(kind, whens):
-    """pop_batch drains exactly the earliest timestamp, counters equal."""
-    entries = [(when, counter, None)
-               for counter, when in enumerate(whens)]
-    sequential = make_queue(kind)
-    batched = make_queue(kind)
-    for entry in entries:
-        sequential.push(*entry)
-        batched.push(*entry)
-
-    while len(batched):
-        got = batched.pop_batch()
-        assert got, "pop_batch returned nothing from a non-empty queue"
-        earliest = got[0][0]
-        assert all(entry[0] == earliest for entry in got)
-        expect = [sequential.pop() for _ in got]
-        assert got == expect
-        if len(sequential):
-            assert sequential.peek_when() > earliest
-        assert _counters(batched) == _counters(sequential)
-    assert len(sequential) == 0
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_pop_batch_empty_queue_raises(kind):
-    with pytest.raises(IndexError):
-        make_queue(kind).pop_batch()
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_push_batch_empty_is_noop(kind):
-    queue = make_queue(kind)
+def test_push_batch_empty_is_noop():
+    queue = _queue()
     queue.push_batch([])
     assert len(queue) == 0
-    assert _counters(queue)["pushes"] == 0
+    assert _counters(queue)["events_pushed"] == 0
 
 
 def test_schedule_batch_matches_sequential_schedules():

@@ -151,7 +151,6 @@ class TestRestoreStats:
     def _snapshot_with_traffic(self):
         sim = Simulator()
         _tick(sim)
-        sim.stats.sync()
         assert sim.stats.events_popped > 0
         return sim.snapshot()
 
@@ -160,20 +159,17 @@ class TestRestoreStats:
         target = Simulator()
         _tick(target)
         target.restore(snap)
-        target.stats.sync()
         assert target.stats.events_popped == 0
         assert target.stats.events_pushed == 0
         assert len(target._queue) == 0
         # Warm runs report only their own traffic from here on.
         _tick(target)
-        target.stats.sync()
         assert target.stats.events_popped > 0
 
     def test_restore_stats_continues_counters(self):
         snap = self._snapshot_with_traffic()
         target = Simulator()
         target.restore(snap, restore_stats=True)
-        target.stats.sync()
         assert target.stats.events_popped == snap.stats["events_popped"]
         assert target.stats.events_pushed == snap.stats["events_pushed"]
 
