@@ -224,7 +224,7 @@ class CampaignRunner:
             snap = ctx.sim.snapshot()
             ctx = self._build_scenario(seed, plan)
             ctx.sim.run()
-            ctx.sim.restore(snap, restore_stats=True)
+            ctx.sim.restore(snap)
         self._execute_scenario(ctx)
         return ctx
 

@@ -162,11 +162,10 @@ class BmHiveServer:
         Each shadow-vring entry becomes a storage read serviced against
         ``image``: SPDK submit through the guest's rate limiters, sector
         payload assembly, completion write-back, and the IO-Bond DMA +
-        MSI delivery. Factored out of :meth:`boot_guest` so a warm-start
-        rebuild (:meth:`attach_booted_guest`) installs the *same* data
-        plane a booted server has. ``queue_index`` threads through to
-        the shadow vring, the SPDK worker shard, and the completion
-        delivery, so an N-queue device gets N independent handlers.
+        MSI delivery. :meth:`boot_guest` registers one per queue:
+        ``queue_index`` threads through to the shadow vring, the SPDK
+        worker shard, and the completion delivery, so an N-queue device
+        gets N independent handlers.
         """
         bond = guest.bond
         port = bond.port("blk")
@@ -191,28 +190,6 @@ class BmHiveServer:
             return service()
 
         return handle_blk
-
-    def attach_booted_guest(self, guest: BmGuest, image: VmImage) -> None:
-        """Wire the post-boot data plane without running the boot.
-
-        The structural side effects of :meth:`boot_guest` — device
-        init handshake, blk handler registration, poll-loop start —
-        are re-applied here so a rebuilt server shell matches a booted
-        one object-for-object. Time-dependent state (clock, RNG
-        streams, token-bucket levels, the hypervisor's life-cycle
-        position and doorbell anchor) is *not* touched: that is what
-        :meth:`repro.sim.Simulator.restore` applies afterwards. Shadow
-        vrings are deliberately absent from the rebuilt shell — IO-Bond
-        creates them on the first guest kick, and a parked poll loop
-        treats a missing shadow exactly like a drained one (see
-        DESIGN.md, snapshot scope).
-        """
-        full_init(guest.blk_device)
-        for qi in range(guest.blk_device.n_queues):
-            guest.hypervisor.register_handler(
-                "blk", qi, self.make_blk_handler(guest, image, qi))
-        guest.hypervisor.start()
-        guest.image = image
 
     def boot_guest(self, guest: BmGuest, image: VmImage):
         """Process: boot ``guest`` from ``image`` through the real rings.

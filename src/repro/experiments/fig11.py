@@ -20,11 +20,9 @@ EXPERIMENT_ID = "fig11"
 TITLE = "fio 4KB random I/O: latency and IOPS, bm vs vm"
 
 
-def run(seed: int = 0, quick: bool = True, mode: str = "fast") -> ExperimentResult:
-    """``mode`` is the testbed start-up fidelity (see
-    :func:`~repro.experiments.common.make_testbed`)."""
+def run(seed: int = 0, quick: bool = True) -> ExperimentResult:
     ops = 400 if quick else 1500
-    bed = make_testbed(seed, mode=mode)
+    bed = make_testbed(seed)
     rows = []
     results = {}
     for guest in (bed.bm, bed.vm):
@@ -43,7 +41,7 @@ def run(seed: int = 0, quick: bool = True, mode: str = "fast") -> ExperimentResu
 
     # Unrestricted: local SSD, no IOPS cap.
     free_bed = make_testbed(seed + 50, limits=RateLimits.unrestricted(),
-                            local_storage=True, mode=mode)
+                            local_storage=True)
     bm_free = fio_run(free_bed.sim, free_bed.bm, pattern="randread",
                       ops_per_thread=ops)
     vm_free = fio_run(free_bed.sim, free_bed.vm, pattern="randread",

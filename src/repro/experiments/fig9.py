@@ -19,17 +19,12 @@ EXPERIMENT_ID = "fig9"
 TITLE = "UDP PPS between co-resident guest pairs"
 
 
-def run(seed: int = 0, quick: bool = True, mode: str = "fast") -> ExperimentResult:
-    """``mode`` is the testbed start-up fidelity (see
-    :func:`~repro.experiments.common.make_testbed`): ``"fast"`` keeps
-    the golden-pinned historical behavior, ``"booted"`` boots every
-    bm-guest cold, ``"warm"`` restores booted testbeds from snapshot —
-    bit-identical rows to ``"booted"`` for a fraction of the events."""
+def run(seed: int = 0, quick: bool = True) -> ExperimentResult:
     duration = 0.03 if quick else 0.1
     trials = 2 if quick else 3
     bm_runs, vm_runs = [], []
     for trial in range(trials):
-        bed = make_testbed(seed + trial, mode=mode)
+        bed = make_testbed(seed + trial)
         bm_runs.append(udp_pps_test(bed.sim, bed.bm, bed.bm_peer, duration_s=duration))
         vm_runs.append(udp_pps_test(bed.sim, bed.vm, bed.vm_peer, duration_s=duration))
 

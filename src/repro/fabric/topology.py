@@ -2,8 +2,8 @@
 
 :class:`TopologySpec` is a frozen spec dataclass in the
 :mod:`repro.config` mold: it rides on :class:`~repro.config.profile.
-HardwareProfile` (and through ``TestbedBuilder``/``TestbedConfig``),
-round-trips through dicts/JSON, and is validated on construction.
+HardwareProfile` (and through ``TestbedBuilder.topology``), round-trips
+through dicts/JSON, and is validated on construction.
 
 The default is the *single-hop* fabric (``n_racks=0``): no
 :class:`~repro.fabric.network.FabricNetwork` is built, no routing

@@ -78,7 +78,7 @@ def _resolve_runner(experiment: str):
 
 
 def _run_experiment(experiment: str, seed: int, quick: bool,
-                    profile: Optional[str], mode: Optional[str] = None):
+                    profile: Optional[str]):
     runner = _resolve_runner(experiment)
     kwargs = {"seed": seed, "quick": quick}
     if profile is not None:
@@ -86,49 +86,26 @@ def _run_experiment(experiment: str, seed: int, quick: bool,
             raise ValueError(
                 f"experiment {experiment!r} does not accept a profile")
         kwargs["profile"] = resolve_profile(profile)
-    if mode is not None:
-        if "mode" not in inspect.signature(runner).parameters:
-            raise ValueError(
-                f"experiment {experiment!r} does not accept a testbed mode")
-        kwargs["mode"] = mode
     return runner(**kwargs)
 
 
 @dataclass(frozen=True)
 class ExperimentJob:
-    """Run one whole experiment: ``ALL_EXPERIMENTS[experiment](...)``.
-
-    ``mode`` selects the testbed start-up fidelity for experiments that
-    accept one (``fast``/``booted``/``warm``). ``warm_snapshots`` ships
-    pre-computed :class:`~repro.experiments.common.TestbedSnapshot`
-    objects with the job; the worker loads them into its process-wide
-    warm cache (a ``setdefault``, so the boot is paid at most once per
-    worker) and every warm-start inside the job restores instead of
-    booting.
-    """
+    """Run one whole experiment: ``ALL_EXPERIMENTS[experiment](...)``."""
 
     experiment: str
     seed: int = 0
     quick: bool = True
     idle_skip: Optional[bool] = None
     profile: Optional[str] = None
-    mode: Optional[str] = None
-    warm_snapshots: Optional[tuple] = None
 
     @property
     def key(self) -> str:
-        base = f"experiment:{self.experiment}:seed{self.seed}"
-        # Suffix only when a mode is chosen, so historical keys (and the
-        # reports built from them) are unchanged.
-        return base if self.mode is None else f"{base}:{self.mode}"
+        return f"experiment:{self.experiment}:seed{self.seed}"
 
     def run(self):
-        if self.warm_snapshots:
-            from repro.experiments.common import load_warm_cache
-
-            load_warm_cache(self.warm_snapshots)
         return _run_experiment(self.experiment, self.seed, self.quick,
-                               self.profile, self.mode)
+                               self.profile)
 
 
 @dataclass(frozen=True)

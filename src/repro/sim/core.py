@@ -542,8 +542,10 @@ class Simulator:
                 "still queued; snapshots are taken at quiescence "
                 "(parked daemons only)"
             )
-        # itertools.count exposes its next value via __reduce__.
-        next_counter = self._counter.__reduce__()[1][0]
+        # Read the next insertion counter by drawing it, then restart the
+        # count at that value so the draw leaves no gap.
+        next_counter = next(self._counter)
+        self._counter = itertools.count(next_counter)
         return KernelSnapshot(
             now=self._now,
             next_counter=next_counter,
@@ -553,18 +555,16 @@ class Simulator:
                           for key, obj in self._participants.items()},
         )
 
-    def restore(self, snapshot: KernelSnapshot, *, restore_stats: bool = False) -> None:
+    def restore(self, snapshot: KernelSnapshot) -> None:
         """Adopt a snapshot taken from an identically-built simulation.
 
         The caller must have rebuilt the object graph (same recipe,
         same participant keys) and parked its daemons first; this
         method then applies clock, counter position, RNG stream states,
         and participant states, after which the simulation's future
-        evolution is bit-identical to the original's.
-
-        By default the kernel counters are zeroed so a warm-started
-        run reports only its own event traffic; ``restore_stats=True``
-        continues the original counters instead.
+        evolution is bit-identical to the original's. The kernel
+        counters continue from the snapshot's, so a checkpointed run
+        reports the same totals as a straight-through one.
         """
         pending = len(self._queue)
         if pending:
@@ -586,5 +586,4 @@ class Simulator:
         for key, state in snapshot.participants.items():
             self._participants[key].restore_state(state)
         for name in EventStats._COUNTERS:
-            setattr(self.stats, name,
-                    snapshot.stats.get(name, 0) if restore_stats else 0)
+            setattr(self.stats, name, snapshot.stats.get(name, 0))

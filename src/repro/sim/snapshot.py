@@ -1,4 +1,4 @@
-"""Kernel snapshot/restore: warm-starting a simulation.
+"""Kernel snapshot/restore: checkpointing a simulation.
 
 A :class:`KernelSnapshot` captures everything the kernel needs to make
 a *rebuilt* simulation evolve bit-identically to the one it was taken
@@ -21,8 +21,15 @@ is therefore a *rebuild protocol*, not deserialization:
 3. Apply the kernel snapshot **last**: clock, counter, RNG states, and
    each participant's ``restore_state``. From that point every
    schedule call draws the same counters, every draw the same bits,
-   and every doorbell ring replays the same poll grid — so the warm
-   simulation's future is indistinguishable from the original's.
+   and every doorbell ring replays the same poll grid — so the
+   restored simulation's future is indistinguishable from the
+   original's.
+
+The one user is the chaos checkpoint,
+``CampaignRunner.run(seed, checkpoint=True)``
+(:mod:`repro.chaos.runner`): it drains each freshly built scenario,
+snapshots it, rebuilds it with the same recipe and restores into the
+rebuild, and the campaign report must match a straight-through run.
 
 A participant is any object registered through
 ``Simulator.register_participant(key, obj)`` exposing
@@ -53,8 +60,7 @@ class KernelSnapshot:
     """Portable kernel state at one quiescent point.
 
     Everything inside is plain Python/ints/floats, so snapshots pickle
-    cheaply across process boundaries (``repro.parallel`` ships one to
-    every worker) and survive JSON round-trips for debugging.
+    and survive JSON round-trips for debugging.
     """
 
     now: float

@@ -78,6 +78,20 @@ class TestPaperProfileEquivalence:
         assert via_builder.sim.now == via_helper.sim.now
 
 
+@pytest.mark.parametrize("mode", ["warm", "booted", "tepid"])
+def test_unknown_mode_rejected(mode):
+    with pytest.raises(ValueError, match="mode"):
+        make_testbed(0, mode=mode)
+
+
+def test_builder_queue_knobs_reach_profile():
+    bed = (TestbedBuilder().seed(4)
+           .queues(blk=3, workers=3, passthrough=True).build())
+    assert bed.profile.queues.blk_queues == 3
+    assert bed.profile.queues.passthrough
+    assert bed.hive.hypervisors[bed.bm.name].passthrough
+
+
 class TestAsicProfileEndToEnd:
     def test_ablation_runs_asic_profile_with_lower_latency(self):
         result = ablations.run(seed=0, quick=True)

@@ -1,19 +1,25 @@
-"""Kernel snapshot/restore: warm starts are invisible to the physics.
+"""Kernel snapshot/restore: checkpoints are invisible to the physics.
 
 The contract under test: run a simulation to quiescence, snapshot,
 rebuild an identical simulation, park it, restore — and everything
 observable from then on (clock, insertion counters, RNG draws,
 participant state) is bit-identical to just continuing the original.
-Both idle-skip modes are covered; the testbed-level equivalence (the
-figure experiments) lives in ``tests/experiments/test_warm_start.py``.
+Both idle-skip modes are covered; the campaign-level equivalence
+(checkpointed vs straight-through chaos reports) lives in
+``tests/chaos/test_runner.py``.
 """
+
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import common
+from repro.guest.image import VmImage
 from repro.sim import KernelSnapshot, Simulator, SnapshotError
 from repro.sim.doorbell import set_idle_skip_default
+from repro.workloads.fio import fio_run
 
 
 @pytest.fixture(params=[True, False], ids=["idle_skip_on", "idle_skip_off"])
@@ -71,15 +77,25 @@ class TestSnapshotRestoreEquivalence:
         assert warm_phase2 == reference_phase2
 
     def test_insertion_counters_continue(self, idle_skip):
-        sim = Simulator(seed=0)
-        _tick(sim)
-        snap = sim.snapshot()
+        def next_scheduled_counter(sim):
+            sim.timeout(1e-6)
+            _, counter, _ = sim._queue.pop()
+            return counter
 
-        target = Simulator(seed=0)
-        target.restore(snap)
-        # The next counter the rebuilt kernel assigns continues where
-        # the original stopped — pop order across the seam is seamless.
-        assert target._counter.__reduce__()[1][0] == snap.next_counter
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = Simulator(seed=0)
+            _tick(sim)
+            snap = sim.snapshot()
+            # Reading the counter position consumes no counter.
+            assert sim.snapshot().next_counter == snap.next_counter
+            assert next_scheduled_counter(sim) == snap.next_counter
+
+            # The rebuilt kernel continues where the original stopped,
+            # so pop order across the seam is seamless.
+            target = Simulator(seed=0)
+            target.restore(snap)
+            assert next_scheduled_counter(target) == snap.next_counter
 
     def test_rng_streams_created_after_restore_are_deterministic(self):
         source = Simulator(seed=11)
@@ -154,22 +170,10 @@ class TestRestoreStats:
         assert sim.stats.events_popped > 0
         return sim.snapshot()
 
-    def test_stats_zeroed_by_default(self):
+    def test_restore_continues_counters(self):
         snap = self._snapshot_with_traffic()
         target = Simulator()
-        _tick(target)
         target.restore(snap)
-        assert target.stats.events_popped == 0
-        assert target.stats.events_pushed == 0
-        assert len(target._queue) == 0
-        # Warm runs report only their own traffic from here on.
-        _tick(target)
-        assert target.stats.events_popped > 0
-
-    def test_restore_stats_continues_counters(self):
-        snap = self._snapshot_with_traffic()
-        target = Simulator()
-        target.restore(snap, restore_stats=True)
         assert target.stats.events_popped == snap.stats["events_popped"]
         assert target.stats.events_pushed == snap.stats["events_pushed"]
 
@@ -186,6 +190,50 @@ class TestSnapshotPayload:
         target = Simulator(seed=3)
         target.restore(clone)
         assert target.now == sim.now
+
+
+class TestParticipantRoundTrip:
+    """Post-boot, post-traffic participant state survives a rebuild."""
+
+    KINDS = ("bmhv", "limits", "nic", "storage")
+
+    @pytest.fixture(autouse=True)
+    def idle_skip_on(self):
+        # Busy-poll loops never park, so only idle-skip reaches the
+        # quiescent point a snapshot needs.
+        old = set_idle_skip_default(True)
+        yield
+        set_idle_skip_default(old)
+
+    @staticmethod
+    def _by_kind(snap, kind):
+        return {key: state for key, state in snap.participants.items()
+                if key.split(":", 1)[0] == kind}
+
+    def test_booted_testbed_round_trips(self):
+        bed = common.TestbedBuilder().seed(5).build()
+        image = VmImage(name="snapshot-base")
+        for hive in bed.hives:
+            for guest in hive.guests:
+                bed.sim.run_process(hive.boot_guest(guest, image))
+        fio_run(bed.sim, bed.bm, pattern="randread", ops_per_thread=50)
+        bed.sim.run()
+        snap = bed.sim.snapshot()
+
+        pristine = common.TestbedBuilder().seed(5).build()
+        pristine.sim.run()
+        never_booted = pristine.sim.snapshot()
+        for kind in self.KINDS:
+            assert self._by_kind(snap, kind), kind
+            assert (self._by_kind(snap, kind)
+                    != self._by_kind(never_booted, kind)), kind
+
+        rebuilt = common.TestbedBuilder().seed(5).build()
+        for guest in rebuilt.bm_guests:
+            guest.hypervisor.start()
+        rebuilt.sim.run()
+        rebuilt.sim.restore(snap)
+        assert rebuilt.sim.snapshot() == snap
 
 
 # -- property: interrupt anywhere, outcome never changes ---------------
