@@ -20,6 +20,7 @@ import json
 import pathlib
 
 from repro.parallel import ExperimentJob, execute
+from repro.sim import set_idle_skip_default
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent.parent
                / "tests" / "perf" / "golden_event_counts.json")
@@ -32,8 +33,11 @@ def collect() -> dict:
     for experiment in GOLDEN_EXPERIMENTS:
         golden[experiment] = {}
         for idle_skip in (True, False):
-            result = execute(ExperimentJob(experiment, seed=0, quick=True,
-                                           idle_skip=idle_skip))
+            previous = set_idle_skip_default(idle_skip)
+            try:
+                result = execute(ExperimentJob(experiment, seed=0, quick=True))
+            finally:
+                set_idle_skip_default(previous)
             mode = "idle_skip_on" if idle_skip else "idle_skip_off"
             golden[experiment][mode] = {
                 counter: result.events[counter]

@@ -194,7 +194,9 @@ class CampaignRunner:
         rebuilt from scratch, and restored into the rebuilt testbed —
         then the campaign proceeds normally. The outcome (and its
         byte-stable report) must be identical to a straight-through
-        run; the chaos suite asserts exactly that.
+        run; the chaos suite asserts exactly that. Under busy polling
+        the drain cannot quiesce, and the snapshot raises
+        :class:`~repro.sim.SnapshotError`.
         """
         if plan is None:
             plan = self.generator.plan(seed)
@@ -220,10 +222,13 @@ class CampaignRunner:
             # scenario from scratch, park the rebuild the same way, and
             # restore the snapshot into it. From here on the rebuilt
             # scenario must be indistinguishable from the original.
-            ctx.sim.run()
+            # The drain stops at t=0: busy-poll loops never empty the
+            # queue, so under them snapshot() raises SnapshotError
+            # instead of the run hanging.
+            ctx.sim.run(until=0.0)
             snap = ctx.sim.snapshot()
             ctx = self._build_scenario(seed, plan)
-            ctx.sim.run()
+            ctx.sim.run(until=0.0)
             ctx.sim.restore(snap)
         self._execute_scenario(ctx)
         return ctx

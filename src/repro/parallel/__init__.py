@@ -24,7 +24,7 @@ from repro.parallel.jobs import (ChaosCampaignJob, ExperimentJob,
                                  ExperimentShardJob, JobResult, RegionShardJob,
                                  SeedSweepJob, execute, is_shardable,
                                  resolve_profile)
-from repro.parallel.merge import (VOLATILE_KEYS, WALL_KEYS, bench_diff, merge_bench,
+from repro.parallel.merge import (VOLATILE_KEYS, bench_diff, merge_bench,
                                   merge_chaos, merge_experiment_shards,
                                   merge_sweep, strip_volatile)
 from repro.parallel.pool import (JobFailed, WorkerCrashed, WorkerPool,
@@ -46,7 +46,6 @@ __all__ = [
     "is_shardable",
     "resolve_profile",
     "VOLATILE_KEYS",
-    "WALL_KEYS",
     "strip_volatile",
     "bench_diff",
     "merge_bench",

@@ -4,9 +4,8 @@ Every job is a frozen dataclass that travels to a worker process over a
 pipe, so it must stay picklable: ids and parameters only, never live
 simulators, callables, or open resources. A job names *what* to run
 (``experiment``/``seed``) plus the knobs the serial front-ends expose
-(``quick``, ``idle_skip``, ``profile``); the worker resolves the actual
-runner from :data:`repro.experiments.ALL_EXPERIMENTS` at execution
-time.
+(``quick``, ``profile``); the worker resolves the actual runner from
+:data:`repro.experiments.ALL_EXPERIMENTS` at execution time.
 
 :func:`execute` is the single entry point the pool's workers (and the
 ``--jobs 1`` inline path) use. It brackets each job with
@@ -96,7 +95,6 @@ class ExperimentJob:
     experiment: str
     seed: int = 0
     quick: bool = True
-    idle_skip: Optional[bool] = None
     profile: Optional[str] = None
 
     @property
@@ -126,7 +124,6 @@ class ExperimentShardJob:
     shard: int
     seed: int = 0
     quick: bool = True
-    idle_skip: Optional[bool] = None
 
     @property
     def key(self) -> str:
@@ -190,7 +187,6 @@ class RegionShardJob:
     occupancy: float = 0.8
     mean_lifetime_s: float = 2.0
     guests: str = "arrays"
-    idle_skip: Optional[bool] = None
 
     @property
     def key(self) -> str:
@@ -289,7 +285,6 @@ class ChaosCampaignJob:
     seed: int
     inject_regression: bool = False
     shrink_runs: int = 120
-    idle_skip: Optional[bool] = None
 
     @property
     def key(self) -> str:
@@ -344,7 +339,6 @@ class SeedSweepJob:
     experiment: str
     seed: int
     quick: bool = True
-    idle_skip: Optional[bool] = None
     profile: Optional[str] = None
 
     @property
@@ -389,19 +383,11 @@ def execute(job) -> JobResult:
     path, which is what makes serial and parallel runs comparable: the
     events in every :class:`JobResult` are a clean per-job delta.
     """
-    from repro.sim import (global_event_totals, idle_skip_default,
-                           reset_global_stats, set_idle_skip_default)
+    from repro.sim import global_event_totals, reset_global_stats
 
-    previous = idle_skip_default()
-    if job.idle_skip is not None:
-        set_idle_skip_default(job.idle_skip)
     reset_global_stats()
     start = time.perf_counter()
-    try:
-        payload = job.run()
-    finally:
-        if job.idle_skip is not None:
-            set_idle_skip_default(previous)
+    payload = job.run()
     wall = time.perf_counter() - start
     return JobResult(key=job.key, payload=payload,
                      events=global_event_totals(), wall_s=wall)

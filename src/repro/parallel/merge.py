@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import copy
 import sys
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.parallel.jobs import (ChaosCampaignJob, ExperimentShardJob,
                                  JobResult, SeedSweepJob)
 
 __all__ = [
     "VOLATILE_KEYS",
-    "WALL_KEYS",
     "strip_volatile",
     "bench_diff",
     "merge_bench",
@@ -43,10 +42,6 @@ VOLATILE_KEYS = frozenset({
     "attempts",
     "throughput",
 })
-
-# The wall-clock subset of VOLATILE_KEYS: with a tolerance these are
-# *compared* (within a relative bound) instead of ignored.
-WALL_KEYS = frozenset({"wall_s", "total_wall_s", "elapsed_wall_s"})
 
 
 def strip_volatile(report: dict) -> dict:
@@ -84,79 +79,35 @@ def _zero_like(value) -> bool:
     return False
 
 
-def bench_diff(a: dict, b: dict,
-               wall_tolerance: Optional[float] = None,
-               ignore_keys: Iterable[str] = (),
-               wall_floor_s: float = 0.0) -> List[str]:
+def bench_diff(a: dict, b: dict) -> List[str]:
     """Differences between two BENCH reports modulo volatile fields.
 
     Returns human-readable difference lines; empty means equivalent.
-
-    With ``wall_tolerance`` (a relative fraction, e.g. ``0.25`` for
-    25%), the wall-clock fields are no longer ignored: each pair must
-    agree within ``tolerance * max(|a|, |b|)``. That turns the
-    comparison from "identical modulo wall time" into "identical, and
-    no slower than X%" — the regression gate
-    ``scripts/diff_bench.py --tolerance`` exposes.
-
-    ``ignore_keys`` adds report keys to the ignored set, e.g.
-    ``queue_config`` or ``topology`` to diff rows across datapath
-    shapes that would otherwise short-circuit the comparison.
-
-    ``wall_floor_s`` is an absolute noise floor for the tolerance
-    comparison: wall differences below it always pass. A relative
-    bound alone is meaningless for millisecond-scale experiments,
-    where scheduler jitter routinely exceeds any sane percentage.
     """
     differences: List[str] = []
-    ignored = VOLATILE_KEYS if wall_tolerance is None else (
-        VOLATILE_KEYS - WALL_KEYS)
-    if ignore_keys:
-        ignored = ignored | frozenset(ignore_keys)
 
-    # Reports produced under different multi-queue datapath shapes are
-    # incomparable: every row legitimately differs, so a row-by-row
-    # diff would bury the real cause in noise. Surface the config
+    # Reports produced under different multi-queue datapath shapes or
+    # fabric topologies are incomparable: every row legitimately
+    # differs (a routed Clos times every transfer hop-by-hop), so a
+    # row-by-row diff would bury the real cause in noise. Surface the
     # mismatch alone and stop.
-    if "queue_config" not in ignored:
-        config_a = a.get("queue_config")
-        config_b = b.get("queue_config")
-        if (config_a is not None and config_b is not None
-                and config_a != config_b):
-            changed = sorted(
-                key for key in set(config_a) | set(config_b)
-                if config_a.get(key) != config_b.get(key))
+    for block, what in (("queue_config", "multi-queue configurations"),
+                        ("topology", "fabric topologies")):
+        left, right = a.get(block), b.get(block)
+        if left is not None and right is not None and left != right:
+            changed = sorted(key for key in set(left) | set(right)
+                             if left.get(key) != right.get(key))
             return [
-                "queue_config mismatch — reports were produced under "
-                "different multi-queue configurations and are not "
-                "comparable: "
-                + ", ".join(
-                    f"{key}: {config_a.get(key)!r} vs {config_b.get(key)!r}"
-                    for key in changed)
-            ]
-
-    # Same story for the fabric topology: a routed Clos suite times
-    # every transfer hop-by-hop, so its rows can never match single-hop
-    # rows and a row diff would just be noise.
-    if "topology" not in ignored:
-        topo_a = a.get("topology")
-        topo_b = b.get("topology")
-        if topo_a is not None and topo_b is not None and topo_a != topo_b:
-            changed = sorted(
-                key for key in set(topo_a) | set(topo_b)
-                if topo_a.get(key) != topo_b.get(key))
-            return [
-                "topology mismatch — reports were produced under "
-                "different fabric topologies and are not comparable: "
-                + ", ".join(
-                    f"{key}: {topo_a.get(key)!r} vs {topo_b.get(key)!r}"
-                    for key in changed)
+                f"{block} mismatch — reports were produced under "
+                f"different {what} and are not comparable: "
+                + ", ".join(f"{key}: {left.get(key)!r} vs {right.get(key)!r}"
+                            for key in changed)
             ]
 
     def walk(path: str, left, right) -> None:
         if isinstance(left, dict) and isinstance(right, dict):
             for key in sorted(set(left) | set(right)):
-                if key in ignored:
+                if key in VOLATILE_KEYS:
                     continue
                 child = f"{path}.{key}" if path else key
                 if key not in left:
@@ -165,16 +116,6 @@ def bench_diff(a: dict, b: dict,
                 elif key not in right:
                     if not _zero_like(left[key]):
                         differences.append(f"{child}: only in first")
-                elif (key in WALL_KEYS and wall_tolerance is not None
-                      and isinstance(left[key], (int, float))
-                      and isinstance(right[key], (int, float))):
-                    l, r = left[key], right[key]
-                    limit = max(wall_tolerance * max(abs(l), abs(r), 1e-9),
-                                wall_floor_s)
-                    if abs(l - r) > limit:
-                        differences.append(
-                            f"{child}: {l!r} vs {r!r} differs by more "
-                            f"than {wall_tolerance:.0%}")
                 else:
                     walk(child, left[key], right[key])
         elif isinstance(left, list) and isinstance(right, list):

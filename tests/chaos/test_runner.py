@@ -12,6 +12,7 @@ from repro.chaos import (
     ScenarioSpec,
 )
 from repro.faults.spec import FaultPlan, FaultSpec
+from repro.sim import SnapshotError, set_idle_skip_default
 
 
 def _quick_runner(**kwargs):
@@ -81,6 +82,16 @@ class TestCheckpoint:
         check = _quick_runner(extra_monitors=probe).run(seed=1,
                                                         checkpoint=True)
         assert check.report_json() == straight.report_json()
+
+    def test_checkpoint_fails_fast_under_busy_polling(self):
+        # Busy-poll loops never empty the queue, so the t=0 drain
+        # leaves events queued and the snapshot refuses them.
+        old = set_idle_skip_default(False)
+        try:
+            with pytest.raises(SnapshotError, match="still queued"):
+                _quick_runner().run(seed=3, checkpoint=True)
+        finally:
+            set_idle_skip_default(old)
 
 
 class TestRunnerConfig:

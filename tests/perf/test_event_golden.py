@@ -12,8 +12,7 @@ Intentional changes are a one-command refresh away::
 
     PYTHONPATH=src python scripts/refresh_perf_golden.py
 
-The golden file records both idle-skip modes, so the gate holds under
-``REPRO_IDLE_SKIP=0`` CI matrices too.
+The golden file records both idle-skip modes.
 """
 
 import json
@@ -22,6 +21,7 @@ import pathlib
 import pytest
 
 from repro.parallel import ExperimentJob, execute
+from repro.sim import set_idle_skip_default
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden_event_counts.json"
 REFRESH_HINT = ("counts moved — if intentional, refresh with "
@@ -39,8 +39,11 @@ class TestEventCountGolden:
     @pytest.mark.parametrize("idle_skip", [True, False],
                              ids=["idle_skip_on", "idle_skip_off"])
     def test_counts_match_golden(self, golden, experiment, idle_skip):
-        result = execute(ExperimentJob(experiment, seed=0, quick=True,
-                                       idle_skip=idle_skip))
+        previous = set_idle_skip_default(idle_skip)
+        try:
+            result = execute(ExperimentJob(experiment, seed=0, quick=True))
+        finally:
+            set_idle_skip_default(previous)
         assert result.payload.passed
         mode = "idle_skip_on" if idle_skip else "idle_skip_off"
         expected = golden[experiment][mode]
