@@ -141,6 +141,9 @@ class AdmissionController:
         self.rejected: Dict[Tuple[str, str], int] = {}
         self.breaker_trips = 0
         self._last_shed: Tuple[str, ...] = ()
+        # The policy is frozen: resolve every tier's watermark once.
+        self._marks: Tuple[Tuple[str, float], ...] = tuple(
+            (tier, self.policy.watermark(tier)) for tier in TIERS)
 
     # -- breaker -------------------------------------------------------
     def headroom_fraction(self) -> float:
@@ -148,9 +151,10 @@ class AdmissionController:
 
     def shed_tiers(self) -> Tuple[str, ...]:
         """Tiers currently shed by the breaker (stable TIERS order)."""
-        headroom = self.headroom_fraction()
-        return tuple(t for t in TIERS
-                     if headroom < self.policy.watermark(t))
+        return self._shed_at(self.headroom_fraction())
+
+    def _shed_at(self, headroom: float) -> Tuple[str, ...]:
+        return tuple([t for t, mark in self._marks if headroom < mark])
 
     # -- admission -----------------------------------------------------
     def admit(self, tier: str, tenant: str = "default") -> None:
@@ -158,20 +162,20 @@ class AdmissionController:
         if tier not in TIERS:
             known = ", ".join(TIERS)
             raise ValueError(f"unknown tier {tier!r}; tiers: {known}")
-        shed = self.shed_tiers()
+        headroom = self.scheduler.healthy_headroom(self.kind)
+        shed = self._shed_at(headroom)
         if shed != self._last_shed:
             if set(shed) - set(self._last_shed):
                 self.breaker_trips += 1
                 if self.audit is not None:
                     self.audit.record(
                         "admission", "breaker_trip", ",".join(shed) or "-",
-                        headroom=round(self.headroom_fraction(), 6))
+                        headroom=round(headroom, 6))
             self._last_shed = shed
         if tier in shed:
             self._reject(tier, tenant, "shed",
                          retry_after_s=self.policy.shed_retry_s,
-                         detail=f"healthy headroom "
-                                f"{self.headroom_fraction():.4f} below "
+                         detail=f"healthy headroom {headroom:.4f} below "
                                 f"{self.policy.watermark(tier):.4f}")
         bucket = self.buckets[tier]
         if not bucket.try_consume(1.0):

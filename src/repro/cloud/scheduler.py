@@ -28,16 +28,17 @@ per placement and O(1) per admission decision:
   stale lazily — a server that filled up or was quarantined is simply
   dropped when popped; a VM candidate too full for *this* request but
   not empty is pushed back after the search;
-* per-kind headroom-bucketed free lists — ``{free_slots: {names}}``
-  dict-of-sets over non-quarantined servers — giving O(1) membership
-  moves on place/release and an O(#distinct levels) "can anything fit
-  this request?" pre-check (:meth:`headroom_histogram` exposes them);
+* a per-kind free-level histogram — ``{free_units: n_servers}`` over
+  non-quarantined servers — updated with two integer bumps per
+  place/release and giving an O(#distinct levels) "can anything fit
+  this request?" pre-check (:meth:`headroom_histogram` exposes it);
 * running aggregate counters maintained on every mutation, so
   ``capacity_summary``/``healthy_headroom`` are dictionary copies, not
-  fleet walks — plus numpy capacity arrays (one slot per registration
-  index) from which :meth:`recompute_summary` re-derives the summary
-  with vectorized reductions; :meth:`verify_index` asserts the two
-  agree, which the scale experiment and the unit tests gate on.
+  fleet walks. :meth:`recompute_summary` re-derives the summary from
+  the ``ServerCapacity`` records themselves, independently of the
+  running counters; :meth:`verify_index` asserts the two agree and
+  recounts the histogram from the records, which the scale experiment
+  and the unit tests gate on.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.inventory import InstanceType
 
@@ -134,18 +133,13 @@ class Scheduler:
         self._types: Dict[str, InstanceType] = {}
         self._ids = itertools.count(1)
         # -- availability index (DESIGN.md §14) -------------------------
-        self._order: List[str] = []            # registration order
+        self._by_index: List[ServerCapacity] = []   # registration order
         self._reg_index: Dict[str, int] = {}
         self._avail: Dict[str, List[int]] = {"bmhive": [], "kvm": []}
-        self._in_heap: Dict[str, bool] = {}    # name has a live heap entry
-        self._free_sets: Dict[str, Dict[int, Set[str]]] = {
+        self._in_heap: List[bool] = []   # index has a live heap entry
+        self._free_hist: Dict[str, Dict[int, int]] = {
             "bmhive": {}, "kvm": {}}
         self._totals: Dict[str, int] = {key: 0 for key in _SUMMARY_KEYS}
-        # numpy capacity arrays, one slot per registration index.
-        self._np_cap = np.zeros(64, dtype=np.int64)
-        self._np_used = np.zeros(64, dtype=np.int64)
-        self._np_bm = np.zeros(64, dtype=bool)
-        self._np_quar = np.zeros(64, dtype=bool)
 
     # -- pool management -----------------------------------------------------
     def add_bmhive_server(self, name: str, board_slots: int) -> ServerCapacity:
@@ -162,15 +156,9 @@ class Scheduler:
         if server.name in self.servers:
             raise ValueError(f"server {server.name!r} already registered")
         self.servers[server.name] = server
-        idx = len(self._order)
-        self._order.append(server.name)
+        idx = len(self._by_index)
+        self._by_index.append(server)
         self._reg_index[server.name] = idx
-        if idx >= len(self._np_cap):
-            self._grow_arrays()
-        self._np_cap[idx] = server.capacity_units()
-        self._np_used[idx] = 0
-        self._np_bm[idx] = server.kind == "bmhive"
-        self._np_quar[idx] = False
         totals = self._totals
         if server.kind == "bmhive":
             totals["bm_servers"] += 1
@@ -180,54 +168,35 @@ class Scheduler:
             totals["kvm_servers"] += 1
             totals["ht_total"] += server.sellable_hyperthreads
             totals["ht_free"] += server.sellable_hyperthreads
-        self._bucket_add(server)
-        if server.free_units() > 0:
+        self._hist_move(server.kind, None, server.free_units())
+        self._in_heap.append(server.free_units() > 0)
+        if self._in_heap[idx]:
             heappush(self._avail[server.kind], idx)
-            self._in_heap[server.name] = True
-        else:
-            self._in_heap[server.name] = False
         return server
 
-    def _grow_arrays(self) -> None:
-        size = 2 * len(self._np_cap)
-        for attr in ("_np_cap", "_np_used", "_np_bm", "_np_quar"):
-            old = getattr(self, attr)
-            fresh = np.zeros(size, dtype=old.dtype)
-            fresh[: len(old)] = old
-            setattr(self, attr, fresh)
-
-    # -- free-list buckets ---------------------------------------------------
-    def _bucket_add(self, server: ServerCapacity) -> None:
-        buckets = self._free_sets[server.kind]
-        free = server.free_units()
-        members = buckets.get(free)
-        if members is None:
-            buckets[free] = members = set()
-        members.add(server.name)
-
-    def _bucket_remove(self, server: ServerCapacity, free: int) -> None:
-        buckets = self._free_sets[server.kind]
-        members = buckets[free]
-        members.discard(server.name)
-        if not members:
-            del buckets[free]
-
-    def _bucket_move(self, server: ServerCapacity, old_free: int) -> None:
-        if not server.quarantined:
-            self._bucket_remove(server, old_free)
-            self._bucket_add(server)
+    # -- free-level histogram --------------------------------------------------
+    def _hist_move(self, kind: str, old: Optional[int],
+                   new: Optional[int]) -> None:
+        """Move one server between free levels; ``None`` means absent."""
+        hist = self._free_hist[kind]
+        if old is not None:
+            left = hist[old] - 1
+            if left:
+                hist[old] = left
+            else:
+                del hist[old]
+        if new is not None:
+            hist[new] = hist.get(new, 0) + 1
 
     def headroom_histogram(self, kind: str = "bmhive") -> Dict[int, int]:
         """Non-quarantined server count per free-capacity level, sorted."""
-        if kind not in self._free_sets:
+        if kind not in self._free_hist:
             raise ValueError(
                 f"kind must be 'bmhive' or 'kvm', got {kind!r}")
-        return {free: len(members) for free, members
-                in sorted(self._free_sets[kind].items())}
+        return dict(sorted(self._free_hist[kind].items()))
 
     def _any_fit(self, kind: str, need: int) -> bool:
-        return any(free >= need and members
-                   for free, members in self._free_sets[kind].items())
+        return any(free >= need for free in self._free_hist[kind])
 
     # -- health --------------------------------------------------------------
     def quarantine(self, name: str) -> bool:
@@ -239,9 +208,8 @@ class Scheduler:
         server = self._server(name)
         changed = not server.quarantined
         if changed:
-            self._bucket_remove(server, server.free_units())
+            self._hist_move(server.kind, server.free_units(), None)
             server.quarantined = True
-            self._np_quar[self._reg_index[name]] = True
             totals = self._totals
             totals["quarantined_servers"] += 1
             if server.kind == "bmhive":
@@ -261,7 +229,6 @@ class Scheduler:
         changed = server.quarantined
         if changed:
             server.quarantined = False
-            self._np_quar[self._reg_index[name]] = False
             totals = self._totals
             totals["quarantined_servers"] -= 1
             if server.kind == "bmhive":
@@ -270,10 +237,11 @@ class Scheduler:
             else:
                 totals["quarantined_ht"] -= server.sellable_hyperthreads
                 totals["ht_free"] += server.free_units()
-            self._bucket_add(server)
-            if server.free_units() > 0 and not self._in_heap[name]:
-                heappush(self._avail[server.kind], self._reg_index[name])
-                self._in_heap[name] = True
+            self._hist_move(server.kind, None, server.free_units())
+            idx = self._reg_index[name]
+            if server.free_units() > 0 and not self._in_heap[idx]:
+                heappush(self._avail[server.kind], idx)
+                self._in_heap[idx] = True
         return changed
 
     def quarantined_servers(self) -> Tuple[str, ...]:
@@ -288,17 +256,9 @@ class Scheduler:
             raise KeyError(
                 f"unknown server {name!r}; servers: {known}") from None
 
-    def placements_on(self, name: str) -> Tuple[Placement, ...]:
-        """Placements currently hosted on ``name``, in id order."""
-        self._server(name)
-        return tuple(
-            self.placements[iid] for iid in sorted(self.placements)
-            if self.placements[iid].server == name
-        )
-
     # -- scheduling --------------------------------------------------------------
-    def _first_fit(self, itype: InstanceType) -> Optional[ServerCapacity]:
-        """Pop the lowest-registration-index server that can host.
+    def _first_fit(self, itype: InstanceType) -> Optional[int]:
+        """Pop the lowest registration index whose server can host.
 
         The heap holds every server believed free, so the minimum live
         index that passes ``can_host`` is exactly the server the old
@@ -313,68 +273,66 @@ class Scheduler:
         heap = self._avail[kind]
         in_heap = self._in_heap
         skipped: List[int] = []
-        found: Optional[ServerCapacity] = None
+        found: Optional[int] = None
         while heap:
             idx = heappop(heap)
-            name = self._order[idx]
-            server = self.servers[name]
+            server = self._by_index[idx]
             if server.can_host(itype):
-                in_heap[name] = False
-                found = server
+                in_heap[idx] = False
+                found = idx
                 break
             if server.quarantined or server.free_units() <= 0:
-                in_heap[name] = False   # stale entry: drop for good
+                in_heap[idx] = False    # stale entry: drop for good
             else:
                 skipped.append(idx)     # free, just not big enough here
         for idx in skipped:
             heappush(heap, idx)
         return found
 
-    def _consume(self, server: ServerCapacity, need: int) -> int:
-        """Charge ``need`` units to ``server``; returns its reg index."""
-        idx = self._reg_index[server.name]
+    def _consume(self, server: ServerCapacity, idx: int, need: int) -> None:
+        """Charge ``need`` units to healthy ``server`` (registration ``idx``)."""
         old_free = server.free_units()
+        totals = self._totals
         if server.kind == "bmhive":
             server.used_boards += need
-            self._totals["boards_used"] += need
-            self._totals["boards_free"] -= need
+            totals["boards_used"] += need
+            totals["boards_free"] -= need
         else:
             server.used_hyperthreads += need
-            self._totals["ht_used"] += need
-            self._totals["ht_free"] -= need
-        self._np_used[idx] += need
-        self._bucket_move(server, old_free)
-        if server.free_units() > 0 and not self._in_heap[server.name]:
+            totals["ht_used"] += need
+            totals["ht_free"] -= need
+        self._hist_move(server.kind, old_free, old_free - need)
+        if old_free > need and not self._in_heap[idx]:
             heappush(self._avail[server.kind], idx)
-            self._in_heap[server.name] = True
-        return idx
+            self._in_heap[idx] = True
 
-    def _restore(self, server: ServerCapacity, need: int) -> None:
+    def _restore(self, server: ServerCapacity, idx: int, need: int) -> None:
         """Return ``need`` units of ``server``'s capacity to the pool."""
-        idx = self._reg_index[server.name]
         old_free = server.free_units()
         quarantined = server.quarantined
+        totals = self._totals
         if server.kind == "bmhive":
             server.used_boards -= need
-            self._totals["boards_used"] -= need
+            totals["boards_used"] -= need
             if not quarantined:
-                self._totals["boards_free"] += need
+                totals["boards_free"] += need
         else:
             server.used_hyperthreads -= need
-            self._totals["ht_used"] -= need
+            totals["ht_used"] -= need
             if not quarantined:
-                self._totals["ht_free"] += need
-        self._np_used[idx] -= need
-        self._bucket_move(server, old_free)
-        if not quarantined and not self._in_heap[server.name]:
-            heappush(self._avail[server.kind], idx)
-            self._in_heap[server.name] = True
+                totals["ht_free"] += need
+        if not quarantined:
+            self._hist_move(server.kind, old_free, old_free + need)
+            if not self._in_heap[idx]:
+                heappush(self._avail[server.kind], idx)
+                self._in_heap[idx] = True
 
     def place(self, itype: InstanceType) -> Placement:
         """Place one instance; first fit in registration order."""
-        server = self._first_fit(itype)
-        if server is not None:
-            self._consume(server, 1 if itype.kind == "bm"
+        idx = self._first_fit(itype)
+        if idx is not None:
+            server = self._by_index[idx]
+            self._consume(server, idx, 1 if itype.kind == "bm"
                           else itype.hyperthreads)
             placement = Placement(
                 instance_id=f"i-{next(self._ids):06d}",
@@ -403,8 +361,8 @@ class Scheduler:
         if placement is None:
             raise KeyError(f"unknown instance {instance_id!r}")
         itype = self._types.pop(instance_id)
-        server = self.servers[placement.server]
-        self._restore(server, 1 if itype.kind == "bm"
+        idx = self._reg_index[placement.server]
+        self._restore(self._by_index[idx], idx, 1 if itype.kind == "bm"
                       else itype.hyperthreads)
 
     # -- indexed bulk placement (vectorized churn hot path) ------------------
@@ -421,17 +379,14 @@ class Scheduler:
         """
         heap = self._avail["bmhive"]
         in_heap = self._in_heap
-        order = self._order
-        servers = self.servers
+        by_index = self._by_index
         while heap:
             idx = heappop(heap)
-            name = order[idx]
-            server = servers[name]
+            server = by_index[idx]
+            in_heap[idx] = False
             if not server.quarantined and server.used_boards < server.board_slots:
-                in_heap[name] = False
-                self._consume(server, 1)
+                self._consume(server, idx, 1)
                 return idx
-            in_heap[name] = False
         summary = self.capacity_summary()
         raise CapacityError(
             f"no capacity for board (bm): "
@@ -443,11 +398,11 @@ class Scheduler:
 
     def release_board(self, reg_index: int) -> None:
         """Return one board placed via :meth:`place_board`."""
-        self._restore(self.servers[self._order[reg_index]], 1)
+        self._restore(self._by_index[reg_index], reg_index, 1)
 
     def server_name(self, reg_index: int) -> str:
         """Name of the server at ``reg_index`` (registration order)."""
-        return self._order[reg_index]
+        return self._by_index[reg_index].name
 
     # -- reporting -----------------------------------------------------------------
     def capacity_summary(self) -> Dict[str, int]:
@@ -460,60 +415,50 @@ class Scheduler:
         O(1): a copy of aggregates maintained on every mutation. The
         admission breaker calls this per arrival, so at region scale it
         must not walk the fleet; :meth:`recompute_summary` re-derives
-        the same dict from the numpy capacity arrays when you want the
+        the same dict from the capacity records when you want the
         ground truth instead of the running counters.
         """
         return dict(self._totals)
 
     def recompute_summary(self) -> Dict[str, int]:
-        """Vectorized ground-truth summary from the capacity arrays."""
-        n = len(self._order)
-        cap = self._np_cap[:n]
-        used = self._np_used[:n]
-        bm = self._np_bm[:n]
-        quar = self._np_quar[:n]
-        kvm = ~bm
-        healthy = ~quar
-        free = cap - used
+        """Ground-truth summary walked from the ``ServerCapacity`` records."""
         out = {key: 0 for key in _SUMMARY_KEYS}
-        out["bm_servers"] = int(bm.sum())
-        out["kvm_servers"] = int(kvm.sum())
-        out["boards_total"] = int(cap[bm].sum())
-        out["boards_used"] = int(used[bm].sum())
-        out["boards_free"] = int(free[bm & healthy].sum())
-        out["ht_total"] = int(cap[kvm].sum())
-        out["ht_used"] = int(used[kvm].sum())
-        out["ht_free"] = int(free[kvm & healthy].sum())
-        out["quarantined_servers"] = int(quar.sum())
-        out["quarantined_boards"] = int(cap[bm & quar].sum())
-        out["quarantined_ht"] = int(cap[kvm & quar].sum())
+        for server in self._by_index:
+            bm = server.kind == "bmhive"
+            unit = "boards" if bm else "ht"
+            out["bm_servers" if bm else "kvm_servers"] += 1
+            cap, free = server.capacity_units(), server.free_units()
+            out[f"{unit}_total"] += cap
+            out[f"{unit}_used"] += cap - free
+            if server.quarantined:
+                out["quarantined_servers"] += 1
+                out[f"quarantined_{unit}"] += cap
+            else:
+                out[f"{unit}_free"] += free
         return out
 
     def verify_index(self) -> bool:
-        """Assert the running aggregates match the vectorized recompute.
+        """Assert the running aggregates match the records' recompute.
 
-        Also checks that every non-quarantined server sits in exactly
-        the free-list bucket its capacity record implies. Raises
+        Also recounts the free-level histogram from the capacity
+        records of the non-quarantined servers. Raises
         ``AssertionError`` on divergence; returns True otherwise.
         """
         cached = self.capacity_summary()
         truth = self.recompute_summary()
         assert cached == truth, (
-            f"summary counters diverged from capacity arrays:\n"
+            f"summary counters diverged from capacity records:\n"
             f"  cached:   {cached}\n  recomputed: {truth}")
-        for kind, buckets in self._free_sets.items():
-            seen = {name for members in buckets.values() for name in members}
-            expected = {s.name for s in self.servers.values()
-                        if s.kind == kind and not s.quarantined}
-            assert seen == expected, (
-                f"{kind} free-list membership diverged: "
-                f"missing={sorted(expected - seen)} "
-                f"extra={sorted(seen - expected)}")
-            for free, members in buckets.items():
-                for name in members:
-                    actual = self.servers[name].free_units()
-                    assert actual == free, (
-                        f"{name} bucketed at free={free} but has {actual}")
+        for kind, hist in self._free_hist.items():
+            expected: Dict[int, int] = {}
+            for server in self._by_index:
+                if server.kind == kind and not server.quarantined:
+                    free = server.free_units()
+                    expected[free] = expected.get(free, 0) + 1
+            assert hist == expected, (
+                f"{kind} free-level histogram diverged: "
+                f"indexed={dict(sorted(hist.items()))} "
+                f"recounted={dict(sorted(expected.items()))}")
         return True
 
     def healthy_headroom(self, kind: str = "bm") -> float:
@@ -532,21 +477,3 @@ class Scheduler:
         else:
             raise ValueError(f"kind must be 'bm' or 'vm', got {kind!r}")
         return free / total if total else 1.0
-
-    def pool_utilization(self, kind: Optional[str] = None) -> float:
-        servers = [
-            s for s in self.servers.values() if kind is None or s.kind == kind
-        ]
-        if not servers:
-            return 0.0
-        return sum(s.utilization() for s in servers) / len(servers)
-
-    def total_sellable_hyperthreads(self, board_hyperthreads: int = 32) -> Dict[str, int]:
-        """Sellable HT per server kind (density comparison input)."""
-        totals = {"bmhive": 0, "kvm": 0}
-        for server in self.servers.values():
-            if server.kind == "bmhive":
-                totals["bmhive"] += server.board_slots * board_hyperthreads
-            else:
-                totals["kvm"] += server.sellable_hyperthreads
-        return totals

@@ -293,6 +293,7 @@ class VectorizedChurnEngine:
         else:
             self.ledger = GuestArrayLedger(plan)
             region.guest_ledger = self.ledger
+            self._tier_names = [TIERS[t] for t in plan.tier_idx.tolist()]
             self._tenants = tuple(
                 f"t{k:03d}" for k in range(region.spec.n_tenants))
 
@@ -314,27 +315,22 @@ class VectorizedChurnEngine:
             start = end
 
     def _process(self, start: int, end: int, bound: float) -> None:
-        region = self.region
-        sim = region.sim
-        ev_time = self._ev_time
-        ev_kind = self._ev_kind
-        ev_idx = self._ev_idx
-        arrays = self.ledger is not None
+        sim = self.region.sim
+        if self.ledger is not None:
+            arrive, leave = self._arrive_arrays, self._exit_arrays
+        else:
+            arrive, leave = self._arrive_object, self._exit_object
+        # Python lists, not numpy scalar reads: ``tolist`` yields floats
+        # with the same bits, so the clock stays a plain ``float``.
         last = bound
-        for k in range(start, end):
-            last = ev_time[k]
+        for last, kind, i in zip(self._ev_time[start:end].tolist(),
+                                 self._ev_kind[start:end].tolist(),
+                                 self._ev_idx[start:end].tolist()):
             sim._now = last
-            i = int(ev_idx[k])
-            if ev_kind[k] == 0:
-                if arrays:
-                    self._arrive_arrays(i)
-                else:
-                    self._arrive_object(i)
+            if kind == 0:
+                arrive(i)
             else:
-                if arrays:
-                    self._exit_arrays(i)
-                else:
-                    self._exit_object(i)
+                leave(i)
         # Restore the wakeup bound (>= every slice timestamp up to
         # float rounding of the bucket grid; max() covers that edge).
         sim._now = max(bound, last)
@@ -357,8 +353,7 @@ class VectorizedChurnEngine:
     # -- array-mode guests (string-free scale path) ----------------------
     def _arrive_arrays(self, i: int) -> None:
         region = self.region
-        plan = self.plan
-        tier = TIERS[plan.tier_idx[i]]
+        tier = self._tier_names[i]
         region.arrivals[tier] += 1
         tenant = self._tenants[i % len(self._tenants)]
         try:

@@ -1,14 +1,17 @@
 """Unit tests for tiered admission control and the circuit breaker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cloud import Scheduler, instance
+from repro.cloud import CapacityError, Scheduler, instance
 from repro.cloud.admission import (
     TIERS,
     AdmissionController,
     AdmissionPolicy,
     AdmissionRejected,
 )
+from repro.cloud.audit import AuditLog
 from repro.sim import Simulator
 
 
@@ -151,3 +154,94 @@ class TestReporting:
             "best_effort": 0, "premium": 1, "standard": 1}
         assert report["rejected"] == {"best_effort:shed": 1}
         assert report["shed_now"] == ["best_effort"]
+
+
+_UNLIMITED = tuple((tier, 1e9, 1e9) for tier in TIERS)
+
+
+@st.composite
+def _policies(draw):
+    """A valid, downward-closed policy shedding zero, one or two tiers."""
+    shed_at = []
+    n_shed = draw(st.integers(min_value=0, max_value=2))
+    if n_shed:
+        best_effort = draw(st.floats(min_value=0.0, max_value=1.0))
+        shed_at.append(("best_effort", best_effort))
+        if n_shed == 2:
+            shed_at.append(("standard", draw(
+                st.floats(min_value=0.0, max_value=best_effort))))
+    return AdmissionPolicy(
+        limits=_UNLIMITED, shed_at=tuple(shed_at),
+        shed_retry_s=draw(st.floats(min_value=0.0, max_value=5.0)))
+
+
+class _BreakerOracle:
+    """The breaker re-derived from ``policy.watermark`` on every call."""
+
+    def __init__(self, sim, scheduler, policy):
+        self.scheduler = scheduler
+        self.policy = policy
+        self.audit = AuditLog(sim)
+        self.trips = 0
+        self.last = ()
+
+    def shed(self):
+        headroom = self.scheduler.healthy_headroom("bm")
+        return tuple(t for t in TIERS if headroom < self.policy.watermark(t))
+
+    def admit(self, tier):
+        shed = self.shed()
+        if shed != self.last:
+            if set(shed) - set(self.last):
+                self.trips += 1
+                self.audit.record(
+                    "admission", "breaker_trip", ",".join(shed) or "-",
+                    headroom=round(self.scheduler.healthy_headroom("bm"), 6))
+            self.last = shed
+        if tier in shed:
+            self.audit.record(
+                "default", "admission_rejected", tier, reason="shed",
+                retry_after_s=round(self.policy.shed_retry_s, 9))
+
+
+_WALK = st.lists(
+    st.tuples(st.sampled_from(("place", "release", "quarantine", "readmit")),
+              st.integers(min_value=0, max_value=15),
+              st.sampled_from(TIERS)),
+    min_size=1, max_size=60)
+
+
+class TestCachedWatermarks:
+    @settings(max_examples=60, deadline=None)
+    @given(policy=_policies(), walk=_WALK)
+    def test_property_cached_marks_equal_policy(self, policy, walk):
+        sim = Simulator(seed=0)
+        sched = Scheduler()
+        for i in range(4):
+            sched.add_bmhive_server(f"s{i}", board_slots=4)
+        ctrl = AdmissionController(sim, sched, policy=policy,
+                                   audit=AuditLog(sim))
+        oracle = _BreakerOracle(sim, sched, policy)
+        live = []
+        for op, arg, tier in walk:
+            if op == "place":
+                try:
+                    live.append(sched.place(instance("ebm.e5.32ht")))
+                except CapacityError:
+                    pass
+            elif op == "release" and live:
+                sched.release(live.pop(arg % len(live)).instance_id)
+            elif op == "quarantine":
+                sched.quarantine(f"s{arg % 4}")
+            elif op == "readmit":
+                sched.readmit(f"s{arg % 4}")
+            oracle.admit(tier)
+            try:
+                ctrl.admit(tier)
+            except AdmissionRejected as exc:
+                assert exc.reason == "shed"
+            headroom = sched.healthy_headroom("bm")
+            assert ctrl.shed_tiers() == tuple(
+                t for t in TIERS if headroom < policy.watermark(t))
+            assert ctrl.breaker_trips == oracle.trips
+            assert ctrl.audit.head_digest() == oracle.audit.head_digest()

@@ -1,12 +1,14 @@
 """Indexed-scheduler internals: the O(1) fast paths stay truthful.
 
-The rewrite replaced ``place()``'s linear scan with headroom buckets,
-per-kind availability heaps, and incrementally-maintained aggregate
-totals. Correctness of the *placements* is pinned by the original
-scheduler suite (unchanged); this file pins the index itself — cached
-summaries equal a from-scratch numpy recompute after any operation
-sequence, ``place_board``/``release_board`` are exactly ``place``/
-``release`` minus the Placement object, and ``verify_index`` actually
+The rewrite replaced ``place()``'s linear scan with a free-level
+histogram, per-kind availability heaps, and incrementally-maintained
+aggregate totals. Correctness of the *placements* is pinned by the
+original scheduler suite (unchanged); this file pins the index itself —
+cached summaries equal a from-scratch recompute over the
+``ServerCapacity`` records after any operation sequence,
+``place_board``/``release_board`` are exactly ``place``/``release``
+minus the Placement object, the histogram's "can anything fit?"
+pre-check refuses a fragmented pool, and ``verify_index`` actually
 catches corruption.
 """
 
@@ -72,6 +74,38 @@ class TestAggregateIndex:
         sched._totals["boards_free"] += 1
         with pytest.raises(AssertionError):
             sched.verify_index()
+
+    def test_verify_index_catches_histogram_off_by_one(self):
+        sched = _fleet()
+        sched.place(instance("ebm.e5.32ht"))
+        sched._free_hist["bmhive"][3] += 1
+        with pytest.raises(AssertionError, match="histogram"):
+            sched.verify_index()
+
+    def test_verify_index_catches_record_edited_behind_index(self):
+        sched = _fleet()
+        sched.place(instance("ebm.e5.32ht"))
+        sched.servers["hive-2"].used_boards += 1
+        with pytest.raises(AssertionError):
+            sched.verify_index()
+
+
+class TestAnyFitPrecheck:
+    def test_fragmented_kvm_pool_refuses_without_touching_heap(self):
+        """Total free HT covers the request, but no single server does."""
+        sched = Scheduler()
+        for i in range(3):
+            sched.add_kvm_server(f"kvm-{i}", sellable_hyperthreads=48)
+        for _ in range(3):
+            sched.place(instance("ecs.e5.32ht"))   # 16 HT left on each
+        assert sched.capacity_summary()["ht_free"] >= 32
+        assert sched.headroom_histogram("kvm") == {16: 3}
+        assert not sched._any_fit("kvm", 32)
+        heap = list(sched._avail["kvm"])
+        with pytest.raises(CapacityError):
+            sched.place(instance("ecs.e5.32ht"))
+        assert sched._avail["kvm"] == heap
+        assert sched.verify_index()
 
 
 class TestBoardFastPath:

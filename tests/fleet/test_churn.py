@@ -87,6 +87,26 @@ class TestEngineEquivalence:
         sim.run(until=spec.duration_s)
         assert region.running_guests() == region.guest_ledger.running_count()
 
+    @pytest.mark.parametrize("guests", ["objects", "arrays"])
+    def test_clock_is_a_python_float_inside_buckets(self, guests):
+        """Token buckets and audit stamps see ``float``, not ``np.float64``."""
+        spec = _small_spec()
+        sim = Simulator(seed=3)
+        region = Region(sim, spec)
+        plan = ChurnPlan.for_region(region)
+        region.start(probes=False, arrivals=False)
+        clock_types = set()
+        admit = region.admission.admit
+
+        def spy(*args, **kwargs):
+            clock_types.add(type(sim.now))
+            return admit(*args, **kwargs)
+
+        region.admission.admit = spy
+        VectorizedChurnEngine(region, plan, guests=guests).start()
+        sim.run(until=spec.duration_s)
+        assert clock_types == {float}
+
     def test_rejects_unknown_guest_mode(self):
         spec = _small_spec()
         sim = Simulator(seed=1)
