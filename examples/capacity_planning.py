@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
-"""Scenario: capacity planning and billing for a bare-metal fleet.
+"""Scenario: capacity planning for a bare-metal fleet.
 
 Takes the Section 1 demand statistic ("more than 95% of the VMs in our
 cloud use less than 32 CPU cores"), generates that tenant population,
 and compares serving it as single-tenant bare metal vs BM-Hive boards —
-then bills a sample month to show the revenue side.
+then states the price side from the Section 3.5 cost model.
 
 Run:
     python examples/capacity_planning.py
 """
 
 from repro import Simulator
-from repro.analysis import bar_chart
-from repro.cloud import PriceList, UsageMeter, instance
+from repro.cloud import compare_density
 from repro.fleet import run_placement_study
 
 
@@ -29,31 +28,17 @@ def main():
         if count:
             print(f"  {size:3d} HT boards: {count}")
 
-    print(f"\nServers needed:")
-    print(bar_chart(
-        ["single-tenant bare metal", "BM-Hive (16 boards/server)"],
-        [study.single_tenant_servers, study.bmhive_servers],
-    ))
+    print("\nServers needed:")
+    print(f"  single-tenant bare metal:   {study.single_tenant_servers}")
+    print(f"  BM-Hive (16 boards/server): {study.bmhive_servers}")
     print(f"\nCapacity utilization: single-tenant "
           f"{study.single_tenant_utilization * 100:.0f}% vs BM-Hive "
           f"{study.bmhive_utilization * 100:.0f}% "
           f"({study.server_reduction:.1f}x fewer servers)")
 
-    # Billing: a tenant runs one of each service kind for a month.
-    meter = UsageMeter(sim)
-    meter.start("i-vm", "ecs.e5.32ht")
-    meter.start("i-bm", "ebm.e5.32ht")
-    sim.run(until=sim.now + 30 * 24 * 3600.0)
-    invoice = meter.invoice()
-    print("\nA month of the same 32-HT shape, both service kinds:")
-    for line in invoice.lines:
-        print(f"  {line['instance_id']}: {line['kind']} x {line['hours']:.0f}h "
-              f"@ {line['hourly_rate']:.3f}/h = {line['amount']:.2f}")
-    prices = PriceList()
-    saving = 1 - (prices.hourly_rate(instance("ebm.e5.32ht"))
-                  / prices.hourly_rate(instance("ecs.e5.32ht")))
-    print(f"  bare metal is {saving * 100:.0f}% cheaper at the same shape "
-          f"(Section 3.5: 10% lower)")
+    density = compare_density()
+    print(f"\nBare metal sells {density.bm_price_discount * 100:.0f}% cheaper "
+          f"than a VM of the same shape (Section 3.5: 10% lower)")
 
 
 if __name__ == "__main__":

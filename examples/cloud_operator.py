@@ -2,15 +2,14 @@
 """Scenario: the cloud operator's view of a mixed vm/bm fleet.
 
 Walks through the control-plane features the paper calls
-"interoperability": one API for both service kinds, capacity
-planning with the density/cost model, and cold migration of a tenant
-from a VM onto a compute board (and the image surviving the trip).
+"interoperability": one API for both service kinds, and capacity
+planning with the density/cost model.
 
 Run:
     python examples/cloud_operator.py
 """
 
-from repro import Simulator, cold_migrate_to_bm
+from repro import Simulator
 from repro.cloud import CloudController, compare_density, compare_power, table3_rows
 from repro.guest import VmImage
 
@@ -18,7 +17,7 @@ from repro.guest import VmImage
 def main():
     sim = Simulator(seed=7)
     cloud = CloudController(sim)
-    hive = cloud.add_bmhive_server("hive-0", board_slots=8)
+    cloud.add_bmhive_server("hive-0", board_slots=8)
     cloud.add_kvm_server("kvm-0", sellable_hyperthreads=88)
 
     print("== Instance catalog (Table 3) ==")
@@ -33,15 +32,6 @@ def main():
     bm_record = cloud.create_instance("ebm.e5.32ht", image=image)
     print(f"\ncreated {vm_record.instance_id} (vm on {vm_record.server}) and "
           f"{bm_record.instance_id} (bm on {bm_record.server}) from one image")
-
-    # The tenant outgrows the VM: cold-migrate onto a board.
-    vm_guest = vm_record.guest
-    record = sim.run_process(
-        cold_migrate_to_bm(sim, vm_guest, cloud.vm_servers["kvm-0"], hive)
-    )
-    print(f"cold migration vm->bm: downtime {record.downtime_s:.1f} s, "
-          f"image digest preserved: {record.image_digest == image.digest()}")
-    print(f"hive-0 now hosts {hive.density} bm-guests")
 
     # Capacity economics (Section 3.5).
     density = compare_density()

@@ -27,8 +27,6 @@ from repro.core import (
     PhysicalMachine,
     VirtServer,
     VmGuest,
-    cold_migrate_to_bm,
-    cold_migrate_to_vm,
 )
 from repro.sim import Simulator
 
@@ -41,7 +39,5 @@ __all__ = [
     "BmGuest",
     "VmGuest",
     "PhysicalMachine",
-    "cold_migrate_to_vm",
-    "cold_migrate_to_bm",
     "__version__",
 ]

@@ -16,7 +16,6 @@ from repro.cloud.health import (
     RemediationTicket,
     ServerHealthState,
 )
-from repro.cloud.billing import BM_DISCOUNT, Invoice, PriceList, UsageMeter
 from repro.cloud.quotas import Quota, QuotaExceeded, QuotaLedger
 from repro.cloud.inventory import (
     BM_INSTANCES,
@@ -25,7 +24,6 @@ from repro.cloud.inventory import (
     instance,
     table3_rows,
 )
-from repro.cloud.maintenance import MaintenanceReport, MaintenanceWindow
 from repro.cloud.power import PowerComparison, compare_power
 from repro.cloud.pricing import (
     BMHIVE_SERVER,
@@ -55,18 +53,12 @@ __all__ = [
     "compare_power",
     "CloudController",
     "InstanceRecord",
-    "PriceList",
-    "UsageMeter",
-    "Invoice",
-    "BM_DISCOUNT",
     "AuditLog",
     "AuditEntry",
     "TamperError",
     "Quota",
     "QuotaLedger",
     "QuotaExceeded",
-    "MaintenanceWindow",
-    "MaintenanceReport",
     "TIERS",
     "AdmissionController",
     "AdmissionPolicy",

@@ -8,9 +8,10 @@ maintenance. This module adds the machinery (DESIGN.md §13):
   ``healthy -> suspect -> quarantined -> draining -> repairing ->
   healthy``, with only the legal transitions accepted;
 * :class:`FleetHealth` — folds fleet-level probe results and per-board
-  :class:`~repro.hypervisor.health.BoardHealth` signals (the Watchdog
-  vocabulary) into those states, drives the scheduler's quarantine
-  set, and mirrors server outages into availability accounting;
+  :class:`~repro.hypervisor.health.BoardHealth` signals (raised by the
+  region's ``correlated_board_hang`` fault) into those states, drives
+  the scheduler's quarantine set, and mirrors server outages into
+  availability accounting;
 * :class:`RemediationPipeline` — a seeded detect → quarantine → drain
   → repair → readmit workflow with exactly-once semantics: one open
   :class:`RemediationTicket` per incident, duplicate detections
@@ -237,11 +238,11 @@ class FleetHealth:
 
     def ingest_board_health(self, name: str,
                             board_state: BoardHealth) -> ServerHealthState:
-        """Fold a Watchdog :class:`BoardHealth` signal into the machine.
+        """Fold a per-board :class:`BoardHealth` signal into the machine.
 
         A HEALTHY board counts as a passed probe; SUSPECT or RESET
         counts as a miss (the same threshold machinery applies, so one
-        watchdog blip makes the server SUSPECT and a persistent hang
+        missed signal makes the server SUSPECT and a persistent hang
         quarantines it).
         """
         return self.report_probe(

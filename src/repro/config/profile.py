@@ -84,8 +84,8 @@ class GuestSpec:
 class QueueSpec:
     """Multi-queue shape of the guest->backend datapath.
 
-    ``blk_queues``/``net_queue_pairs`` size the virtio devices
-    (VIRTIO_BLK_F_MQ request queues / VIRTIO_NET_F_MQ pairs);
+    ``blk_queues`` sizes the virtio-blk device (VIRTIO_BLK_F_MQ request
+    queues; the net device is always a single queue pair);
     ``backend_workers`` shards the vhost/SPDK/DPDK backends across
     poll-mode workers (queue-affine, ring ``i`` -> worker
     ``i % workers``). ``passthrough`` selects the per-queue-worker
@@ -96,7 +96,6 @@ class QueueSpec:
     """
 
     blk_queues: int = 1
-    net_queue_pairs: int = 1
     backend_workers: int = 1
     passthrough: bool = False
 
@@ -260,7 +259,6 @@ _POSITIVE_FIELDS = {
     "max_iops",
     "write_replicas",
     "blk_queues",
-    "net_queue_pairs",
     "backend_workers",
 }
 

@@ -1,4 +1,4 @@
-"""BM-Hive core: guests, datapaths, servers, and cold migration."""
+"""BM-Hive core: guests, datapaths, servers, and live conversion."""
 
 from repro.core.guests import BmGuest, Guest, PhysicalMachine, VmGuest
 from repro.core.live_conversion import (
@@ -7,7 +7,6 @@ from repro.core.live_conversion import (
     LiveMigrationRecord,
     live_migrate_bm_guest,
 )
-from repro.core.migration import MigrationRecord, cold_migrate_to_bm, cold_migrate_to_vm
 from repro.core.paths import BmBlkPath, BmNetPath, VmBlkPath, VmNetPath
 from repro.core.server import BmHiveServer, VirtServer
 from repro.core.tenant_hypervisor import TenantGuest, TenantHypervisor
@@ -24,9 +23,6 @@ __all__ = [
     "VmNetPath",
     "BmBlkPath",
     "VmBlkPath",
-    "MigrationRecord",
-    "cold_migrate_to_vm",
-    "cold_migrate_to_bm",
     "live_migrate_bm_guest",
     "LiveMigrationRecord",
     "LiveConversionLayer",

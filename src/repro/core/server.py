@@ -31,7 +31,6 @@ from repro.iobond.bond import IoBond, IoBondSpec
 from repro.sim.doorbell import Doorbell
 from repro.virtio.blk import SECTOR_BYTES, VIRTIO_BLK_S_OK, BlkRequestHeader, VirtioBlkDevice
 from repro.virtio.device import full_init
-from repro.virtio.multiqueue import MultiQueueNetDevice
 from repro.virtio.net import VirtioNetDevice
 
 #: The virtqueue EFI firmware boots from. Firmware is single-threaded
@@ -111,13 +110,8 @@ class BmHiveServer:
 
         bond = IoBond(self.sim, self.iobond_spec, name=f"{name}.iobond")
         queues = self.profile.queues
-        if queues.net_queue_pairs > 1:
-            net_device = MultiQueueNetDevice(
-                n_queue_pairs=queues.net_queue_pairs, mac=_unique_mac(name),
-                queue_size=guest_spec.virtio_queue_size)
-        else:
-            net_device = VirtioNetDevice(mac=_unique_mac(name),
-                                         queue_size=guest_spec.virtio_queue_size)
+        net_device = VirtioNetDevice(mac=_unique_mac(name),
+                                     queue_size=guest_spec.virtio_queue_size)
         blk_device = VirtioBlkDevice(queue_size=guest_spec.virtio_queue_size,
                                      n_queues=queues.blk_queues)
         net_port = bond.add_port("net", net_device)

@@ -29,6 +29,7 @@ from repro.experiments import (
     iobond_micro,
     mq_ablation,
     nested,
+    region_campaign,
     region_resilience,
     region_scale,
     security_exp,
@@ -46,7 +47,7 @@ ALL_EXPERIMENTS: Dict[str, Callable] = {
         fig1, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16,
         cost, nested, iobond_micro, mq_ablation, security_exp, ablations,
         future_work, fault_isolation, chaos_campaign, cross_rack, incast,
-        region_resilience, region_scale,
+        region_resilience, region_scale, region_campaign,
     )
 }
 

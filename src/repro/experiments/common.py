@@ -81,7 +81,6 @@ class TestbedBuilder:
         self._limits: Optional[RateLimits] = None
         self._local_storage = False
         self._blk_queues = 1
-        self._net_queue_pairs = 1
         self._backend_workers = 1
         self._passthrough = False
         self._topology = TopologySpec()
@@ -119,15 +118,13 @@ class TestbedBuilder:
         self._local_storage = bool(enabled)
         return self
 
-    def queues(self, blk: int = 1, net_pairs: int = 1, workers: int = 1,
+    def queues(self, blk: int = 1, workers: int = 1,
                passthrough: bool = False) -> "TestbedBuilder":
         """Shape the multi-queue datapath (see :class:`QueueSpec`)."""
-        for label, value in (("blk", blk), ("net_pairs", net_pairs),
-                             ("workers", workers)):
+        for label, value in (("blk", blk), ("workers", workers)):
             if value < 1:
                 raise ValueError(f"{label} must be >= 1, got {value}")
         self._blk_queues = int(blk)
-        self._net_queue_pairs = int(net_pairs)
         self._backend_workers = int(workers)
         self._passthrough = bool(passthrough)
         return self
@@ -150,15 +147,14 @@ class TestbedBuilder:
         """
         sim = Simulator(seed=self._seed)
         profile = self._profile or HardwareProfile.paper()
-        queue_knobs = (self._blk_queues, self._net_queue_pairs,
-                       self._backend_workers, self._passthrough)
-        if queue_knobs != (1, 1, 1, False):
+        queue_knobs = (self._blk_queues, self._backend_workers,
+                       self._passthrough)
+        if queue_knobs != (1, 1, False):
             # Only replace when non-default: the untouched preset value
             # keeps the historical object graph (and `profile is` checks)
             # intact for single-queue beds.
             profile = dc_replace(profile, queues=QueueSpec(
                 blk_queues=self._blk_queues,
-                net_queue_pairs=self._net_queue_pairs,
                 backend_workers=self._backend_workers,
                 passthrough=self._passthrough,
             ))

@@ -1,13 +1,7 @@
 """Hypervisor layer: the KVM baseline and the bm-hypervisor."""
 
 from repro.hypervisor.bm import BmHypervisor, BmHypervisorSpec, GuestState
-from repro.hypervisor.health import BoardHealth, Watchdog, WatchdogSpec
-from repro.hypervisor.features import (
-    KvmFeatureSet,
-    apply_features,
-    effective_cpu_tax,
-    tuned_model,
-)
+from repro.hypervisor.health import BoardHealth
 from repro.hypervisor.kvm import HostScheduler, HostSchedulerSpec, KvmModel, KvmSpec
 from repro.hypervisor.upgrade import HypervisorState, LiveUpgradeRecord, live_upgrade
 
@@ -19,14 +13,8 @@ __all__ = [
     "BmHypervisor",
     "BmHypervisorSpec",
     "GuestState",
-    "KvmFeatureSet",
-    "apply_features",
-    "effective_cpu_tax",
-    "tuned_model",
     "live_upgrade",
     "LiveUpgradeRecord",
     "HypervisorState",
-    "Watchdog",
-    "WatchdogSpec",
     "BoardHealth",
 ]

@@ -11,15 +11,10 @@ from repro.virtio.blk import (
     VIRTIO_BLK_T_OUT,
     BlkRequestHeader,
     VirtioBlkDevice,
-)
-from repro.virtio.console import (
-    CONSOLE_RX_QUEUE,
-    CONSOLE_TX_QUEUE,
-    VirtioConsoleDevice,
+    blk_queue_for_request,
 )
 from repro.virtio.device import (
     VIRTIO_ID_BLOCK,
-    VIRTIO_ID_CONSOLE,
     VIRTIO_ID_NET,
     DeviceStatus,
     Feature,
@@ -28,11 +23,6 @@ from repro.virtio.device import (
     full_init,
 )
 from repro.virtio.memory import GuestMemory
-from repro.virtio.multiqueue import (
-    VIRTIO_NET_F_MQ,
-    MultiQueueNetDevice,
-    rss_queue_for_flow,
-)
 from repro.virtio.net import (
     RX_QUEUE,
     TX_QUEUE,
@@ -41,13 +31,6 @@ from repro.virtio.net import (
     ethernet_frame,
 )
 from repro.virtio.pci import VIRTIO_VENDOR_ID, PciConfigSpace, VirtioPciFunction
-from repro.virtio.steering import (
-    blk_queue_for_request,
-    ctrl_queue_index,
-    pair_for_queue,
-    rx_queue_index,
-    tx_queue_index,
-)
 from repro.virtio.vring import (
     VRING_DESC_F_INDIRECT,
     VRING_DESC_F_NEXT,
@@ -72,14 +55,7 @@ __all__ = [
     "full_init",
     "VIRTIO_ID_NET",
     "VIRTIO_ID_BLOCK",
-    "VIRTIO_ID_CONSOLE",
-    "VirtioConsoleDevice",
-    "CONSOLE_RX_QUEUE",
-    "CONSOLE_TX_QUEUE",
     "VirtioNetDevice",
-    "MultiQueueNetDevice",
-    "VIRTIO_NET_F_MQ",
-    "rss_queue_for_flow",
     "VirtioNetHeader",
     "ethernet_frame",
     "RX_QUEUE",
@@ -89,10 +65,6 @@ __all__ = [
     "SECTOR_BYTES",
     "VIRTIO_BLK_F_MQ",
     "blk_queue_for_request",
-    "rx_queue_index",
-    "tx_queue_index",
-    "ctrl_queue_index",
-    "pair_for_queue",
     "VIRTIO_BLK_T_IN",
     "VIRTIO_BLK_T_OUT",
     "VIRTIO_BLK_T_FLUSH",

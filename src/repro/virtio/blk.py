@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 from repro.virtio.device import Feature, VIRTIO_ID_BLOCK, VirtioDevice, feature_mask
-from repro.virtio.steering import blk_queue_for_request
 
 __all__ = [
     "VirtioBlkDevice",
@@ -26,6 +25,7 @@ __all__ = [
     "VIRTIO_BLK_S_OK",
     "VIRTIO_BLK_S_IOERR",
     "VIRTIO_BLK_S_UNSUPP",
+    "blk_queue_for_request",
 ]
 
 SECTOR_BYTES = 512
@@ -41,6 +41,18 @@ VIRTIO_BLK_S_IOERR = 1
 VIRTIO_BLK_S_UNSUPP = 2
 
 _HDR_FORMAT = "<IIQ"  # type, reserved, sector
+
+
+def blk_queue_for_request(key: int, n_queues: int) -> int:
+    """blk-mq style submission steering: stable key -> request queue.
+
+    ``key`` is whatever identifies the submission context (the issuing
+    CPU in Linux; a sector or stream id in the model) — the same key
+    always lands on the same queue, so per-queue ordering holds.
+    """
+    if n_queues < 1:
+        raise ValueError(f"n_queues must be >= 1, got {n_queues}")
+    return key % n_queues
 
 
 @dataclass
@@ -69,11 +81,9 @@ class VirtioBlkDevice(VirtioDevice):
 
     The default is the historical single-queue device; with
     ``n_queues > 1`` the device offers ``VIRTIO_BLK_F_MQ`` and exposes
-    a ``num_queues`` config field, mirroring how
-    :class:`~repro.virtio.multiqueue.MultiQueueNetDevice` negotiates
-    its queue pairs. Requests steer to a queue either explicitly
-    (``queue_index=``) or by :func:`queue_for_request`'s blk-mq style
-    key mapping.
+    a ``num_queues`` config field. Requests steer to a queue either
+    explicitly (``queue_index=``) or by :func:`queue_for_request`'s
+    blk-mq style key mapping.
     """
 
     device_id = VIRTIO_ID_BLOCK
@@ -85,8 +95,7 @@ class VirtioBlkDevice(VirtioDevice):
         if n_queues < 1:
             raise ValueError(f"need at least one request queue, got {n_queues}")
         # Instance attribute shadows the class default before the
-        # queues are built (lazily, at FEATURES_OK) — exactly like the
-        # MQ net device does with its pairs.
+        # queues are built (lazily, at FEATURES_OK).
         self.n_queues = n_queues
         super().__init__(**kwargs)
         self.capacity_sectors = capacity_sectors

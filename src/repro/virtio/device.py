@@ -23,7 +23,6 @@ __all__ = [
 
 VIRTIO_ID_NET = 1
 VIRTIO_ID_BLOCK = 2
-VIRTIO_ID_CONSOLE = 3
 
 
 class DeviceStatus:
@@ -185,4 +184,4 @@ def full_init(device: VirtioDevice, driver_features: Optional[int] = None) -> Vi
     return device
 
 
-__all__ += ["feature_mask", "full_init", "VIRTIO_ID_CONSOLE"]
+__all__ += ["feature_mask", "full_init"]

@@ -7,7 +7,7 @@ from repro.chaos.campaign import (
     CampaignConfig,
     CampaignGenerator,
 )
-from repro.chaos.region import RegionCampaignRunner
+from repro.experiments.region_campaign import RegionCampaignRunner
 from repro.faults.spec import REGION_KINDS
 from repro.fleet import RegionSpec
 

@@ -11,6 +11,7 @@ EXPECTED_IDS = {
     "cost", "nested", "iobond_micro", "security", "ablations",
     "future_work", "fault_isolation", "chaos_campaign", "mq_ablation",
     "cross_rack", "incast", "region_resilience", "region_scale",
+    "region_campaign",
 }
 
 

@@ -1,18 +1,10 @@
-"""Tests for live hypervisor upgrade (Orthus) and the KVM mitigations."""
+"""Tests for live hypervisor upgrade (Orthus)."""
 
 import pytest
 
 from repro.core import BmHiveServer
 from repro.guest import VmImage
-from repro.hypervisor import (
-    KvmFeatureSet,
-    KvmModel,
-    KvmSpec,
-    apply_features,
-    effective_cpu_tax,
-    live_upgrade,
-    tuned_model,
-)
+from repro.hypervisor import live_upgrade
 from repro.sim import Simulator
 
 
@@ -168,36 +160,3 @@ class TestLiveUpgrade:
         assert load.duplicate_completions == 0
         assert guest.hypervisor.version == "2.0"
 
-
-class TestKvmFeatures:
-    def test_eli_slashes_injection_cost(self):
-        spec = apply_features(KvmSpec(), KvmFeatureSet(exitless_interrupts=True))
-        assert spec.irq_injection_cost_s == pytest.approx(1e-6)
-
-    def test_halt_polling_trims_injection(self):
-        stock = KvmSpec()
-        polled = apply_features(stock, KvmFeatureSet(halt_polling=True))
-        assert polled.irq_injection_cost_s < stock.irq_injection_cost_s
-
-    def test_co_scheduling_removes_lock_holder_tax(self):
-        assert effective_cpu_tax(KvmFeatureSet()) > 0
-        assert effective_cpu_tax(KvmFeatureSet(co_scheduling=True)) == 0
-        assert effective_cpu_tax(KvmFeatureSet(), smp_guest=False) == 0
-
-    def test_tuned_model_still_pays_exits(self):
-        """The paper's point: mitigations shrink, never erase, the gap."""
-        tuned = tuned_model()
-        assert tuned.spec.irq_injection_cost_s < KvmSpec().irq_injection_cost_s
-        # Exit handling itself is untouched: 50K exits still cost half
-        # the CPU even on a fully tuned hypervisor.
-        assert tuned.cpu_efficiency(50_000) == pytest.approx(0.5)
-        assert tuned.memory_bandwidth_factor() < 1.0
-
-    def test_stock_and_tuned_presets(self):
-        assert not any(
-            (KvmFeatureSet.stock().halt_polling,
-             KvmFeatureSet.stock().exitless_interrupts,
-             KvmFeatureSet.stock().co_scheduling)
-        )
-        tuned = KvmFeatureSet.tuned()
-        assert tuned.halt_polling and tuned.exitless_interrupts and tuned.co_scheduling

@@ -128,7 +128,8 @@ class TestPathMonotonicity:
 
 
 class TestExperimentDeterminism:
-    @pytest.mark.parametrize("exp_id", ["cost", "nested", "iobond_micro", "table3"])
+    @pytest.mark.parametrize("exp_id", ["cost", "nested", "iobond_micro", "table3",
+                                        "region_campaign"])
     def test_same_seed_same_rows(self, exp_id):
         from repro.experiments import ALL_EXPERIMENTS
 

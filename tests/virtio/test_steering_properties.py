@@ -1,41 +1,15 @@
-"""Property-based tests for the shared virtio steering helpers.
+"""Property-based tests for virtio-blk request-queue steering.
 
-The steering contract every multi-queue device leans on: RSS picks a
-stable, in-range queue for any flow; the MQ-net pair layout
-(rx0, tx0, rx1, tx1, ..., ctrl) round-trips exactly.
+The contract every multi-queue block device leans on: any submission
+key lands on a stable, in-range request queue, and a device without
+queues is rejected.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.virtio.steering import (
-    blk_queue_for_request,
-    ctrl_queue_index,
-    pair_for_queue,
-    rss_queue_for_flow,
-    rx_queue_index,
-    tx_queue_index,
-)
-
-flow_hashes = st.integers(min_value=0, max_value=2**32 - 1)
-pair_counts = st.integers(min_value=1, max_value=64)
-
-
-@given(flow_hash=flow_hashes, n_pairs=pair_counts)
-@settings(max_examples=100, deadline=None)
-def test_rss_steering_in_range_for_any_pair_count(flow_hash, n_pairs):
-    queue = rss_queue_for_flow(flow_hash, n_pairs)
-    assert 0 <= queue < n_pairs
-
-
-@given(flow_hash=flow_hashes, n_pairs=pair_counts)
-@settings(max_examples=100, deadline=None)
-def test_rss_steering_stable_per_flow(flow_hash, n_pairs):
-    """Same flow hash -> same queue, every time (no per-call state)."""
-    first = rss_queue_for_flow(flow_hash, n_pairs)
-    assert all(rss_queue_for_flow(flow_hash, n_pairs) == first
-               for _ in range(3))
+from repro.virtio.blk import blk_queue_for_request
 
 
 @given(key=st.integers(min_value=0, max_value=2**48),
@@ -43,46 +17,5 @@ def test_rss_steering_stable_per_flow(flow_hash, n_pairs):
 @settings(max_examples=100, deadline=None)
 def test_blk_steering_in_range(key, n_queues):
     assert 0 <= blk_queue_for_request(key, n_queues) < n_queues
-
-
-@given(n_pairs=pair_counts, pair=st.integers(min_value=0, max_value=63))
-@settings(max_examples=100, deadline=None)
-def test_pair_layout_round_trips(n_pairs, pair):
-    """rx/tx index functions and pair_for_queue are exact inverses."""
-    pair = pair % n_pairs
-    rx = rx_queue_index(pair)
-    tx = tx_queue_index(pair)
-    assert rx == 2 * pair and tx == 2 * pair + 1
-    assert pair_for_queue(rx, n_pairs) == (pair, "rx")
-    assert pair_for_queue(tx, n_pairs) == (pair, "tx")
-
-
-@given(n_pairs=pair_counts)
-@settings(max_examples=60, deadline=None)
-def test_ctrl_queue_is_last_and_round_trips(n_pairs):
-    ctrl = ctrl_queue_index(n_pairs)
-    assert ctrl == 2 * n_pairs
-    assert pair_for_queue(ctrl, n_pairs) == (n_pairs, "ctrl")
-    # Every index below ctrl is a data queue; ctrl+1 is out of range.
-    kinds = {pair_for_queue(i, n_pairs)[1] for i in range(ctrl)}
-    assert kinds <= {"rx", "tx"}
-    with pytest.raises(IndexError):
-        pair_for_queue(ctrl + 1, n_pairs)
-
-
-@given(n_pairs=pair_counts)
-@settings(max_examples=60, deadline=None)
-def test_pair_layout_partitions_the_queue_space(n_pairs):
-    """The 2N+1 queue indices map onto exactly N rx, N tx, one ctrl."""
-    mapped = [pair_for_queue(i, n_pairs) for i in range(2 * n_pairs + 1)]
-    assert len(set(mapped)) == len(mapped)
-    assert sum(1 for _, kind in mapped if kind == "rx") == n_pairs
-    assert sum(1 for _, kind in mapped if kind == "tx") == n_pairs
-    assert sum(1 for _, kind in mapped if kind == "ctrl") == 1
-
-
-def test_zero_pairs_rejected():
     with pytest.raises(ValueError):
-        rss_queue_for_flow(7, 0)
-    with pytest.raises(ValueError):
-        blk_queue_for_request(7, 0)
+        blk_queue_for_request(key, 0)
