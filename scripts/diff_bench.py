@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two BENCH JSON files modulo wall-time/metadata fields.
+"""Compare two BENCH JSON files modulo run metadata.
 
 The determinism contract of the parallel orchestrator is that a
 ``--jobs N`` run of ``scripts/export_bench.py`` differs from a serial
-run only in wall-clock measurements and run metadata (timestamp, git
-commit, worker count). This script enforces exactly that:
+run only in run metadata (timestamp, git commit, worker count). This
+script enforces exactly that:
 
     PYTHONPATH=src python scripts/diff_bench.py bench_a.json bench_b.json
 

@@ -2,9 +2,10 @@
 """Run the experiment benchmark suite and write ``BENCH_<n>.json``.
 
 For every experiment (or the subset named on the command line) this
-records wall-clock time and the DES kernel's event counters
-(:func:`repro.sim.global_event_totals`), then writes one auto-numbered
-JSON file in the repository root so successive runs can be diffed:
+records the DES kernel's event counters
+(:func:`repro.sim.global_event_totals`) and the experiment's own
+scenario columns, then writes one auto-numbered JSON file in the
+repository root so successive runs can be diffed:
 
     python scripts/export_bench.py                # all experiments
     python scripts/export_bench.py fig11 fig9     # just these
@@ -16,8 +17,13 @@ JSON file in the repository root so successive runs can be diffed:
 (e.g. ``chaos_campaign``) additionally split into per-campaign jobs so
 no single experiment serializes the whole run. Results are merged by
 job key, never completion order, so the report is identical to a
-serial run outside the wall-time fields (``scripts/diff_bench.py``
-checks exactly that).
+serial run outside the run metadata (``scripts/diff_bench.py`` checks
+exactly that). Nothing here reads the host clock: every byte outside
+that metadata is a function of the seed. Simulator wall time is
+measured by ``perfbench/run.py``.
+
+The exit status is 1 if any experiment fails its checks, 0 otherwise;
+the report is written either way.
 
 Output shape::
 
@@ -28,11 +34,9 @@ Output shape::
       "seed": 0,
       "quick": true,
       "experiments": {
-        "fig11": {"wall_s": 0.41, "events": {"events_popped": ..., ...}},
+        "fig11": {"events": {"events_popped": ..., ...}},
         ...
-      },
-      "total_wall_s": ...,     # sum of per-job wall times
-      "elapsed_wall_s": ...    # end-to-end, what --jobs improves
+      }
     }
 
 Each experiment entry also carries ``queue_depth`` (max and mean event
@@ -53,7 +57,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import time
 
 from repro.config.profile import HardwareProfile, spec_to_dict
 from repro.experiments import ALL_EXPERIMENTS
@@ -159,8 +162,8 @@ def build_jobs(names=None, seed: int = 0, quick: bool = True,
 
 
 def run(names=None, seed: int = 0, quick: bool = True, outdir: str = ".",
-        jobs: int = 1, out=None) -> pathlib.Path:
-    start = time.perf_counter()
+        jobs: int = 1, out=None):
+    """Write the report; return ``(path, names of failing experiments)``."""
     job_list = build_jobs(names, seed=seed, quick=quick)
     results = run_suite(job_list, n_jobs=jobs)
 
@@ -174,37 +177,35 @@ def run(names=None, seed: int = 0, quick: bool = True, outdir: str = ".",
         "topology": _topology_config(),
     }
     report, experiment_results = merge_bench(job_list, results, header)
-    report["elapsed_wall_s"] = round(time.perf_counter() - start, 6)
 
+    failing = []
     for exp_id, entry in report["experiments"].items():
         # Analytic experiments never touch the kernel: every counter is
         # zero and a queue-depth block derived from zeros is noise. Omit
-        # both blocks entirely (bench_diff treats absent-vs-all-zero as
-        # equal, so old reports still compare clean).
+        # both blocks entirely.
         if not any(entry["events"].values()):
             del entry["events"]
-            print(f"{exp_id}: {entry['wall_s']:.3f}s (no kernel events)")
+            print(f"{exp_id}: no kernel events")
         else:
             entry["queue_depth"] = queue_depth(entry["events"])
-            print(f"{exp_id}: {entry['wall_s']:.3f}s "
-                  f"({entry['events']['events_popped']} events, queue depth "
+            print(f"{exp_id}: {entry['events']['events_popped']} events, "
+                  f"queue depth "
                   f"max {entry['queue_depth']['max']} "
-                  f"mean {entry['queue_depth']['mean']})")
+                  f"mean {entry['queue_depth']['mean']}")
         columns = _scenario_columns(exp_id, experiment_results[exp_id])
         if columns is not None:
             entry["scenario"] = columns
         result = experiment_results[exp_id]
         if result is not None and not result.passed:
+            failing.append(exp_id)
             failed = "; ".join(c.name for c in result.failed_checks())
-            print(f"  WARNING {exp_id} checks failed: {failed}",
-                  file=sys.stderr)
+            print(f"  FAILED {exp_id} checks: {failed}", file=sys.stderr)
 
     path = _resolve_out_path(out, outdir)
     _atomic_write(path, json.dumps(report, indent=2) + "\n")
     print(f"wrote {path} ({len(report['experiments'])} experiments, "
-          f"{report['total_wall_s']:.3f}s total, "
-          f"{report['elapsed_wall_s']:.3f}s elapsed, jobs={jobs})")
-    return path
+          f"jobs={jobs})")
+    return path, failing
 
 
 def _scenario_columns(exp_id: str, result):
@@ -257,9 +258,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    run(args.experiments or None, seed=args.seed, quick=not args.full,
-        outdir=args.outdir, jobs=args.jobs, out=args.out)
-    return 0
+    _, failing = run(args.experiments or None, seed=args.seed,
+                     quick=not args.full, outdir=args.outdir,
+                     jobs=args.jobs, out=args.out)
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

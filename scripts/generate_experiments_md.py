@@ -5,8 +5,6 @@ Run from the repository root:
     python scripts/generate_experiments_md.py
 """
 
-import time
-
 from repro.experiments import ALL_EXPERIMENTS
 
 PAPER_CLAIMS = {
@@ -64,9 +62,7 @@ def main():
     summary_at = len(lines)
     total = passed = 0
     for exp_id, runner in ALL_EXPERIMENTS.items():
-        start = time.time()
         result = runner(seed=0, quick=True)
-        elapsed = time.time() - start
         total += 1
         passed += result.passed
         status = "PASS" if result.passed else "FAIL"
@@ -87,7 +83,7 @@ def main():
             lines.append("")
             lines.append(f"*{result.notes}*")
         lines.append("")
-        lines.append(f"_Status: {status} ({elapsed:.1f}s)_")
+        lines.append(f"_Status: {status}_")
         lines.append("")
     lines.insert(summary_at,
                  f"**Summary: {passed}/{total} experiments pass their shape checks.**")

@@ -13,8 +13,8 @@ sweep fans out over the :mod:`repro.parallel` worker pool:
 The report carries one row per seed (pass/fail, failed check names, a
 SHA-256 over the result rows, per-column means) plus aggregate
 statistics in seed order — merged by job key, so ``--jobs N`` output is
-identical to serial outside wall-time fields. Exit code is non-zero if
-any seed fails its experiment checks.
+identical to serial. Exit code is non-zero if any seed fails its
+experiment checks.
 """
 
 import argparse
@@ -60,7 +60,7 @@ def _print_report(report: dict) -> None:
             detail = f" [{', '.join(row['failed_checks'])}]"
         print(f"seed {row['seed']}: {status} "
               f"({row['checks_passed']}/{row['checks_total']} checks, "
-              f"{row['events_popped']} events, {row['wall_s']:.3f}s)"
+              f"{row['events_popped']} events)"
               f"{detail}")
     aggregate = report["aggregate"]
     print(f"{aggregate['passed_seeds']}/{aggregate['n_seeds']} seeds passed, "

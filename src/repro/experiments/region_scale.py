@@ -10,19 +10,18 @@ from the calibrated churn model, every launch placed by the indexed
 first-fit scheduler and every exit reclaimed board-by-board.
 
 Three rungs — 4, 64, and 1024 racks in the full profile — hold the
-per-board load constant while the fleet grows 256x, so any
-superlinearity in cost-per-placement is the scheduler's own doing. The
-top rung completes more than a million guest-lifetimes. Each rung is
+per-board load constant while the fleet grows 256x. The top rung
+completes more than a million guest-lifetimes. Each rung is
 split into per-rack-group shards (:class:`repro.parallel.RegionShardJob`)
 that differ only in derived seed, so the rung is embarrassingly
 parallel and the merged counters are byte-identical whether shards ran
 serially or across a worker pool.
 
-Deterministic counters (arrivals, placements, exits, audit length) are
-the experiment result; wall-derived throughput (placements/s, peak RSS)
-rides along under the volatile ``throughput`` key that
-:data:`repro.parallel.merge.VOLATILE_KEYS` excludes from equivalence
-diffs but the BENCH report still records.
+The result is simulated counters only (arrivals, placements, exits,
+audit length), so it is a pure function of the seed. Placement
+throughput is wall-clock and is measured by perfbench's
+``region_churn`` workload; that placement cost does not grow with the
+fleet is gated by a scheduler heap-operation count in the tests.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ EXPERIMENT_ID = "region_scale"
 TITLE = "Region-scale churn: placement throughput vs fleet size"
 
 # (total racks, shard count) per rung. Shards within a rung split the
-# racks evenly; per-board load is identical across rungs so placement
-# cost is the only thing that scales.
+# racks evenly; per-board load is identical across rungs.
 FULL_RUNGS = ((4, 1), (64, 4), (1024, 16))
 QUICK_RUNGS = ((4, 1), (16, 2))
 
@@ -96,18 +94,6 @@ def merge_shards(seed: int, quick: bool,
             row[name] = sum(p[name] for p in shards)
         row["index_ok"] = all(p["index_ok"] for p in shards)
         row["audit_ok"] = all(p["audit_ok"] for p in shards)
-        run_wall = sum(p["throughput"]["run_wall_s"] for p in shards)
-        row["throughput"] = {
-            "wall_s": round(sum(p["throughput"]["wall_s"]
-                                for p in shards), 6),
-            "run_wall_s": round(run_wall, 6),
-            "placements_per_s": round(row["placed"] / run_wall, 1)
-            if run_wall > 0 else 0.0,
-            "us_per_placement": round(run_wall / row["placed"] * 1e6, 3)
-            if row["placed"] else 0.0,
-            "peak_rss_kb": max((p["throughput"]["peak_rss_kb"]
-                                for p in shards), default=0),
-        }
         rows.append(row)
 
     checks = [
@@ -147,28 +133,6 @@ def merge_shards(seed: int, quick: bool,
             "million guest-lifetimes at the top rung",
             top["placed"] >= 1_000_000,
             f"{top['placed']} placements across {top['racks']} racks"))
-        # Wall-clock acceptance gates (volatile: these never enter the
-        # BENCH diff, but they are the point of the perf work).
-        # The shard rate divides placements by the *sum* of shard
-        # run-walls, so concurrent shards double-count overlapped time
-        # and a --jobs N run reads ~N x slower than the machine really
-        # was. The in-result floor is therefore a contention-proof
-        # sanity bound; the CI region-scale gate enforces the full 50k
-        # placements/s claim on the serial (jobs=1) report.
-        mid = next(row for row in rows if row["racks"] == 64)
-        checks.append(check(
-            "placement throughput sanity floor (64-rack rung)",
-            mid["throughput"]["placements_per_s"] >= 5_000,
-            f"{mid['throughput']['placements_per_s']:.0f} placements/s "
-            "aggregate over shard run-walls (sanity floor 5k; CI gates "
-            "50k on the serial report)"))
-        checks.append(check(
-            "per-placement cost flat 64 -> 1024 racks",
-            top["throughput"]["us_per_placement"]
-            <= 2.0 * mid["throughput"]["us_per_placement"],
-            f"{top['throughput']['us_per_placement']:.2f} us at 1024 racks "
-            f"vs {mid['throughput']['us_per_placement']:.2f} us at 64 "
-            "(must be within 2x: placement is no longer O(servers))"))
 
     total = sum(row["placed"] for row in rows)
     return ExperimentResult(
@@ -192,9 +156,8 @@ def run(seed: int = 0, quick: bool = True) -> ExperimentResult:
 
 
 def bench_columns(result: ExperimentResult) -> dict:
-    """Per-rung BENCH columns; wall-derived rates stay under a volatile key."""
+    """Per-rung BENCH columns (simulated counters only)."""
     rungs = {}
-    throughput = {}
     for row in result.rows:
         label = f"racks{row['racks']}"
         rungs[label] = {
@@ -206,9 +169,7 @@ def bench_columns(result: ExperimentResult) -> dict:
             "running_at_end": row["running_at_end"],
             "churn_events": row["churn_events"],
         }
-        throughput[label] = dict(row["throughput"])
     return {
         "rungs": rungs,
         "guest_lifetimes_total": sum(row["placed"] for row in result.rows),
-        "throughput": throughput,
     }

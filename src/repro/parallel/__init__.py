@@ -13,7 +13,7 @@ wall-clock speedup without giving up a byte of determinism:
 * :mod:`repro.parallel.merge` — result merging keyed by job key, never
   completion order, so parallel output is byte-identical to serial.
 
-:func:`run_suite` is the one-call API the scripts and benchmarks use.
+:func:`run_suite` is the one-call API the scripts use.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.parallel.jobs import (ChaosCampaignJob, ExperimentJob,
                                  resolve_profile)
 from repro.parallel.merge import (VOLATILE_KEYS, bench_diff, merge_bench,
                                   merge_chaos, merge_experiment_shards,
-                                  merge_sweep, strip_volatile)
+                                  merge_sweep)
 from repro.parallel.pool import (JobFailed, WorkerCrashed, WorkerPool,
                                  default_jobs)
 
@@ -46,7 +46,6 @@ __all__ = [
     "is_shardable",
     "resolve_profile",
     "VOLATILE_KEYS",
-    "strip_volatile",
     "bench_diff",
     "merge_bench",
     "merge_chaos",

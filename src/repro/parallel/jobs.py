@@ -13,12 +13,15 @@ simulators, callables, or open resources. A job names *what* to run
 so the kernel counters in a :class:`JobResult` are exactly the events
 *this* job scheduled — per-worker totals the merge layer can sum into
 the same numbers a serial run would have reported.
+
+Nothing here reads the host clock: a job's payload and counters are a
+pure function of its spec, so serial and parallel runs agree byte for
+byte. Simulator wall time is measured only by ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import inspect
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -47,7 +50,6 @@ class JobResult:
     key: str
     payload: Any
     events: Dict[str, int]
-    wall_s: float
     attempts: int = 1
 
 
@@ -171,10 +173,8 @@ class RegionShardJob:
     (summing the deterministic counters in shard order) is byte-
     identical whether the shards ran inline or across a pool.
 
-    The payload separates deterministic simulation counters from the
-    wall-clock measurements: everything volatile lives under the
-    ``throughput`` key, which the merge layer's
-    :data:`~repro.parallel.merge.VOLATILE_KEYS` ignores when diffing.
+    The payload is simulated counters only; placement throughput is
+    measured by perfbench's ``region_churn`` workload, not here.
     """
 
     seed: int
@@ -186,7 +186,6 @@ class RegionShardJob:
     duration_s: float = 11.0
     occupancy: float = 0.8
     mean_lifetime_s: float = 2.0
-    guests: str = "arrays"
 
     @property
     def key(self) -> str:
@@ -198,14 +197,11 @@ class RegionShardJob:
         return self.seed * 100003 + self.rung * 101 + self.shard
 
     def run(self) -> Dict:
-        import resource
-
         from repro.cloud.admission import AdmissionPolicy
         from repro.fleet import (ChurnPlan, Region, RegionSpec,
                                  VectorizedChurnEngine)
         from repro.sim import Simulator
 
-        t_start = time.perf_counter()
         boards = self.racks * self.servers_per_rack * self.boards_per_server
         rate = self.occupancy * boards / self.mean_lifetime_s
         spec = RegionSpec(
@@ -228,19 +224,14 @@ class RegionShardJob:
         region = Region(sim, spec)
         plan = ChurnPlan.for_region(region)
         region.start(probes=False, arrivals=False)
-        engine = VectorizedChurnEngine(region, plan, guests=self.guests)
+        engine = VectorizedChurnEngine(region, plan, guests="arrays")
         engine.start()
-        t_built = time.perf_counter()
         sim.run(until=spec.duration_s)
-        run_wall = time.perf_counter() - t_built
         region.finalize()
         try:
             index_ok = region.scheduler.verify_index()
         except AssertionError:
             index_ok = False
-        placed = sum(region.placed.values())
-        churn_events = len(engine._ev_time)
-        wall = time.perf_counter() - t_start
         return {
             "rung": self.rung,
             "shard": self.shard,
@@ -248,26 +239,15 @@ class RegionShardJob:
             "servers": self.racks * self.servers_per_rack,
             "boards": boards,
             "arrivals": len(plan),
-            "placed": placed,
+            "placed": sum(region.placed.values()),
             "exits": region.exits,
             "running_at_end": region.running_guests(),
             "shed": sum(region.shed.values()),
             "capacity_rejections": sum(region.capacity_rejections.values()),
-            "churn_events": churn_events,
+            "churn_events": len(engine._ev_time),
             "index_ok": index_ok,
             "audit_ok": region.audit.verify(),
             "audit_entries": len(region.audit),
-            "throughput": {
-                "wall_s": round(wall, 6),
-                "build_wall_s": round(t_built - t_start, 6),
-                "run_wall_s": round(run_wall, 6),
-                "placements_per_s": round(placed / run_wall, 1)
-                if run_wall > 0 else 0.0,
-                "churn_events_per_s": round(churn_events / run_wall, 1)
-                if run_wall > 0 else 0.0,
-                "peak_rss_kb": int(
-                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-            },
         }
 
 
@@ -386,8 +366,6 @@ def execute(job) -> JobResult:
     from repro.sim import global_event_totals, reset_global_stats
 
     reset_global_stats()
-    start = time.perf_counter()
     payload = job.run()
-    wall = time.perf_counter() - start
     return JobResult(key=job.key, payload=payload,
-                     events=global_event_totals(), wall_s=wall)
+                     events=global_event_totals())

@@ -3,15 +3,14 @@
 Everything here is keyed and ordered by *job key* (equivalently, by
 submission order), never by completion order: the merged artifacts a
 parallel run produces must be byte-identical to what the serial
-front-ends write, outside explicitly volatile fields (wall-clock,
-timestamps, worker counts). :data:`VOLATILE_KEYS` names those fields
-once, and :func:`strip_volatile` / :func:`bench_diff` implement the
-"identical modulo wall time" comparison the CI gate and the tests use.
+front-ends write, outside the run metadata (timestamp, commit, worker
+count). No job records wall-clock time, so :data:`VOLATILE_KEYS` names
+only that metadata, and :func:`bench_diff` implements the "identical
+modulo run metadata" comparison the CI gate and the tests use.
 """
 
 from __future__ import annotations
 
-import copy
 import sys
 from typing import Dict, Iterable, List, Tuple
 
@@ -20,7 +19,6 @@ from repro.parallel.jobs import (ChaosCampaignJob, ExperimentShardJob,
 
 __all__ = [
     "VOLATILE_KEYS",
-    "strip_volatile",
     "bench_diff",
     "merge_bench",
     "merge_chaos",
@@ -29,58 +27,12 @@ __all__ = [
 ]
 
 # Report fields that legitimately differ between two otherwise
-# equivalent runs: wall-clock measurements and run-metadata stamps.
-# "throughput" is the region-scale benchmark's wall-derived subtree
-# (placements/sec, peak RSS, ...) — volatile as a whole.
-VOLATILE_KEYS = frozenset({
-    "wall_s",
-    "total_wall_s",
-    "elapsed_wall_s",
-    "timestamp",
-    "git_commit",
-    "jobs",
-    "attempts",
-    "throughput",
-})
-
-
-def strip_volatile(report: dict) -> dict:
-    """Deep-copy ``report`` with every volatile field removed."""
-
-    def scrub(node):
-        if isinstance(node, dict):
-            return {key: scrub(value) for key, value in node.items()
-                    if key not in VOLATILE_KEYS}
-        if isinstance(node, list):
-            return [scrub(item) for item in node]
-        return node
-
-    return scrub(copy.deepcopy(report))
-
-
-def _zero_like(value) -> bool:
-    """True for values equivalent to "no traffic recorded".
-
-    Older BENCH files wrote all-zero ``events``/``queue_depth`` blocks
-    for analytic experiments that never touch the kernel; newer ones
-    omit the blocks entirely. A key present on one side only is not a
-    difference when its value carries no information: numeric zero, or
-    a container of (recursively) zero-like values. Booleans and strings
-    are never zero-like — ``False``/``""`` are statements, not absence.
-    """
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, (int, float)):
-        return value == 0
-    if isinstance(value, dict):
-        return all(_zero_like(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_zero_like(v) for v in value)
-    return False
+# equivalent runs: the run-metadata stamps of the report header.
+VOLATILE_KEYS = frozenset({"timestamp", "git_commit", "jobs"})
 
 
 def bench_diff(a: dict, b: dict) -> List[str]:
-    """Differences between two BENCH reports modulo volatile fields.
+    """Differences between two BENCH reports modulo run metadata.
 
     Returns human-readable difference lines; empty means equivalent.
     """
@@ -111,11 +63,9 @@ def bench_diff(a: dict, b: dict) -> List[str]:
                     continue
                 child = f"{path}.{key}" if path else key
                 if key not in left:
-                    if not _zero_like(right[key]):
-                        differences.append(f"{child}: only in second")
+                    differences.append(f"{child}: only in second")
                 elif key not in right:
-                    if not _zero_like(left[key]):
-                        differences.append(f"{child}: only in first")
+                    differences.append(f"{child}: only in first")
                 else:
                     walk(child, left[key], right[key])
         elif isinstance(left, list) and isinstance(right, list):
@@ -155,8 +105,8 @@ def merge_bench(jobs: Iterable, results: Dict[str, JobResult],
     """Fold per-job results into the BENCH schema, in experiment order.
 
     ``jobs`` is the submitted job list (``ExperimentJob`` and
-    ``ExperimentShardJob`` mixed); shard events and wall times are
-    folded per experiment — counters sum, but ``queue_len_max`` is a
+    ``ExperimentShardJob`` mixed); shard events are folded per
+    experiment — counters sum, but ``queue_len_max`` is a
     high-water mark and aggregates by max, exactly like
     :func:`repro.sim.global_event_totals` folds multiple simulators —
     and shard payloads are merged back into one
@@ -176,15 +126,12 @@ def merge_bench(jobs: Iterable, results: Dict[str, JobResult],
     report = dict(header)
     report["experiments"] = {}
     experiment_results = {}
-    total = 0.0
     for name in order:
         events: Dict[str, int] = {}
-        wall = 0.0
         shard_payloads = []
         whole_result = None
         for job in grouped[name]:
             result = results[job.key]
-            wall += result.wall_s
             for counter, value in result.events.items():
                 if counter == "queue_len_max":
                     events[counter] = max(events.get(counter, 0), value)
@@ -199,13 +146,8 @@ def merge_bench(jobs: Iterable, results: Dict[str, JobResult],
             whole_result = merge_experiment_shards(
                 name, grouped[name][0].seed, grouped[name][0].quick,
                 [payload for _, payload in shard_payloads])
-        total += wall
-        report["experiments"][name] = {
-            "wall_s": round(wall, 6),
-            "events": events,
-        }
+        report["experiments"][name] = {"events": events}
         experiment_results[name] = whole_result
-    report["total_wall_s"] = round(total, 6)
     return report, experiment_results
 
 
@@ -244,7 +186,6 @@ def merge_sweep(jobs: List[SeedSweepJob],
     for job in sorted(jobs, key=lambda j: j.seed):
         result = results[job.key]
         row = dict(result.payload)
-        row["wall_s"] = round(result.wall_s, 6)
         row["events_popped"] = result.events.get("events_popped", 0)
         rows.append(row)
 

@@ -30,6 +30,7 @@ def test_experiment_passes_its_shape_checks(exp_id, experiment_results):
 @pytest.mark.parametrize("exp_id", sorted(EXPECTED_IDS))
 def test_experiment_produces_rows(exp_id, experiment_results):
     result = experiment_results[exp_id]
+    assert result.experiment_id == exp_id
     assert result.rows, f"{exp_id} produced no rows"
     assert result.title
     assert result.checks

@@ -42,7 +42,10 @@ class TestExecute:
         assert result.key == "experiment:fig13:seed0"
         assert result.payload.passed
         assert result.events["events_popped"] > 0
-        assert result.wall_s > 0.0
+
+    def test_result_is_a_function_of_the_job(self):
+        job = ExperimentJob("fig13")
+        assert execute(job) == execute(job)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):

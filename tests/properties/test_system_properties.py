@@ -129,7 +129,7 @@ class TestPathMonotonicity:
 
 class TestExperimentDeterminism:
     @pytest.mark.parametrize("exp_id", ["cost", "nested", "iobond_micro", "table3",
-                                        "region_campaign"])
+                                        "region_campaign", "region_scale"])
     def test_same_seed_same_rows(self, exp_id):
         from repro.experiments import ALL_EXPERIMENTS
 

@@ -43,8 +43,9 @@ class TestExportBench:
     def test_out_path_carries_commit_and_timestamp(self, tmp_path):
         export_bench = _load_script("export_bench")
         out = tmp_path / "bench.json"
-        path = export_bench.run(["fig13"], out=str(out))
+        path, failing = export_bench.run(["fig13"], out=str(out))
         assert path == out
+        assert failing == []
         report = json.loads(out.read_text())
         assert report["jobs"] == 1
         assert len(report["git_commit"]) == 40
@@ -66,19 +67,36 @@ class TestExportBench:
     def test_parallel_run_equivalent_to_serial(self, tmp_path):
         export_bench = _load_script("export_bench")
         diff_bench = _load_script("diff_bench")
-        serial = export_bench.run(["fig13", "fig14"], jobs=1,
-                                  out=str(tmp_path / "serial.json"))
-        parallel = export_bench.run(["fig13", "fig14"], jobs=2,
-                                    out=str(tmp_path / "parallel.json"))
+        serial, _ = export_bench.run(["fig13", "fig14"], jobs=1,
+                                     out=str(tmp_path / "serial.json"))
+        parallel, _ = export_bench.run(["fig13", "fig14"], jobs=2,
+                                       out=str(tmp_path / "parallel.json"))
         assert diff_bench.main([str(serial), str(parallel)]) == 0
 
     def test_diff_bench_flags_real_differences(self, tmp_path):
         diff_bench = _load_script("diff_bench")
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        a.write_text(json.dumps({"seed": 0, "wall_s": 1.0}))
-        b.write_text(json.dumps({"seed": 1, "wall_s": 1.0}))
+        a.write_text(json.dumps({"seed": 0, "timestamp": "t0"}))
+        b.write_text(json.dumps({"seed": 1, "timestamp": "t1"}))
         assert diff_bench.main([str(a), str(b)]) == 1
+
+    def test_failed_checks_exit_nonzero(self, tmp_path, monkeypatch):
+        """A failing experiment still gets its report written, but the
+        run exits 1 so CI cannot pass over it."""
+        from repro.experiments import ALL_EXPERIMENTS
+        from repro.experiments.base import Check, ExperimentResult
+
+        def failing_run(seed=0, quick=True):
+            return ExperimentResult("fig13", "planted failure",
+                                    rows=[{"x": 1}],
+                                    checks=[Check("planted", False)])
+
+        monkeypatch.setitem(ALL_EXPERIMENTS, "fig13", failing_run)
+        export_bench = _load_script("export_bench")
+        out = tmp_path / "bench.json"
+        assert export_bench.main(["fig13", "--out", str(out)]) == 1
+        assert "fig13" in json.loads(out.read_text())["experiments"]
 
 
 class TestSweep:
@@ -104,6 +122,7 @@ class TestSweep:
         assert [row["seed"] for row in report["per_seed"]] == [0, 1]
         assert report["aggregate"]["all_passed"] is True
         assert report["aggregate"]["n_seeds"] == 2
+        assert sweep.sweep("fig13", range(2), jobs=1) == report
 
     def test_unknown_experiment_rejected(self):
         sweep = _load_script("sweep")
