@@ -22,16 +22,33 @@ the bucket as a side effect of reading. The conservation monitor reads
 the raw ``_tokens`` field instead — a stale-but-bounded value — exactly
 to stay read-only.)
 
+Incremental checking
+--------------------
+Most samples find nothing changed, so the ring, shadow, conservation
+and (in :mod:`repro.fabric.monitors`) routing monitors do not re-derive
+their verdicts from scratch. Each keeps the state its checks read
+behind a change key and replays its previous *state* messages while
+the key holds. *Transition* checks (a cursor or counter rewound since
+the last sample) compare against the previous sample every time and
+are never replayed. The ring monitor counts heads with one cursor per
+append-only history, and its ``at_end`` recounts both histories; the
+routing monitor's ``at_end`` re-certifies without the cache. An edit
+made behind a key therefore still fails the run, at its end.
+
 Adding a monitor
 ----------------
 Subclass :class:`InvariantMonitor`, implement ``observe`` (called at
 every sample; yield violation messages) and/or ``at_end`` (called once
 after the run and ``AvailabilityAccounting.finalize``), give it a
-``name``, and pass an instance to the suite. See DESIGN.md §8.
+``name``, and pass an instance to the suite. ``observe`` may replay its
+previous state verdict while its change key is unchanged, as above; if
+the key does not cover everything the checks read, ``at_end`` must run
+one uncached pass. See DESIGN.md §8.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Tuple
 
@@ -156,21 +173,75 @@ class ExactlyOnceRingMonitor(InvariantMonitor):
       available — reposts legitimately repeat a head in the avail
       history, but a used count exceeding its avail count means a
       completion was forged or double-delivered.
+
+    Per-head counts run behind one cursor per history; the state
+    checks rerun only when a cursor or a history length moved.
+    ``at_end`` recounts both histories and flags an entry rewritten in
+    place, which the cursors cannot see.
     """
 
     def __init__(self, guest_name: str, vq):
         self.name = f"exactly_once[{guest_name}]"
         self.vq = vq
-        self._last: Dict[str, int] = {}
+        # Running per-head counts over each history, advanced from a
+        # cursor (the history length already counted).
+        self._avail_ring = self._used_ring = None
+        self._avail_pos = self._used_pos = 0
+        self._avail_counts: Dict[int, int] = {}
+        self._used_counts: Dict[int, int] = {}
+        # The last sample's (cursors, avail_pos, used_pos) and the state
+        # messages it produced.
+        self._last = None
+        self._state: Tuple[str, ...] = ()
+
+    def _advance(self) -> bool:
+        """Fold new history entries into the running head counts.
+
+        A history that shrank below its cursor or was replaced by
+        another list is recounted from zero. Returns True if a recount
+        happened.
+        """
+        vq = self.vq
+        rebuilt = False
+        avail, used = vq.avail_ring, vq.used_ring
+        if avail is not self._avail_ring or len(avail) < self._avail_pos:
+            self._avail_ring, self._avail_pos = avail, 0
+            self._avail_counts = {}
+            rebuilt = True
+        if used is not self._used_ring or len(used) < self._used_pos:
+            self._used_ring, self._used_pos = used, 0
+            self._used_counts = {}
+            rebuilt = True
+        counts = self._avail_counts
+        for head in avail[self._avail_pos:]:
+            counts[head] = counts.get(head, 0) + 1
+        self._avail_pos = len(avail)
+        counts = self._used_counts
+        for head, _written in used[self._used_pos:]:
+            counts[head] = counts.get(head, 0) + 1
+        self._used_pos = len(used)
+        return rebuilt
 
     def observe(self, sim) -> Iterable[str]:
-        out = []
         cursors = self.vq.cursors()
-        for key, value in cursors.items():
-            prev = self._last.get(key)
-            if prev is not None and value < prev:
-                out.append(f"cursor {key} rewound {prev} -> {value}")
-        self._last = cursors
+        rebuilt = self._advance()
+        sample = (cursors, self._avail_pos, self._used_pos)
+        last, self._last = self._last, sample
+        if not rebuilt and sample == last:
+            # Nothing moved: no rewinds, and the same state verdict.
+            return self._state
+        out = []
+        if last is not None:
+            for key, value in cursors.items():
+                prev = last[0][key]
+                if value < prev:
+                    out.append(f"cursor {key} rewound {prev} -> {value}")
+        self._state = tuple(self._state_checks(cursors))
+        out.extend(self._state)
+        return out
+
+    def _state_checks(self, cursors: Dict[str, int]) -> List[str]:
+        out = []
         if cursors["last_avail"] > cursors["avail_idx"]:
             out.append(f"consumed past production: last_avail="
                        f"{cursors['last_avail']} > avail_idx="
@@ -179,7 +250,7 @@ class ExactlyOnceRingMonitor(InvariantMonitor):
             out.append(f"driver read past used_idx: last_used="
                        f"{cursors['last_used']} > used_idx="
                        f"{cursors['used_idx']}")
-        avail_counts, used_counts = self.vq.head_counts()
+        avail_counts, used_counts = self._avail_counts, self._used_counts
         size = self.vq.size
         for head in used_counts:
             if not 0 <= head < size:
@@ -194,6 +265,17 @@ class ExactlyOnceRingMonitor(InvariantMonitor):
                     f"head {head} delivered {used}x but only made "
                     f"available {avail}x (exactly-once broken)")
         return out
+
+    def at_end(self, sim) -> Iterable[str]:
+        # The running counts trust the histories to be append-only; a
+        # recount catches an entry rewritten in place behind the cursor.
+        self._advance()
+        avail = Counter(self.vq.avail_ring)
+        used = Counter(head for head, _written in self.vq.used_ring)
+        if avail != self._avail_counts or used != self._used_counts:
+            return ("avail/used history rewritten in place: running head "
+                    "counts disagree with a recount",)
+        return ()
 
 
 class ShadowSyncMonitor(InvariantMonitor):
@@ -213,12 +295,17 @@ class ShadowSyncMonitor(InvariantMonitor):
       (``synced_to_shadow == last_avail``) and has delivered exactly
       the completions the guest ring shows
       (``synced_to_guest == used_idx``).
+
+    A shadow whose snapshot and guest cursors equal the previous
+    sample's replays its previous state messages.
     """
 
     def __init__(self, port):
         self.name = f"shadow_sync[{port.name}]"
         self.port = port
-        self._last: Dict[str, Dict[str, int]] = {}
+        # Per shadow: the last snapshot, guest cursors, and the state
+        # messages they produced, replayed while both are unchanged.
+        self._last: Dict[str, Tuple[dict, dict, List[str]]] = {}
 
     _MONOTONIC = ("synced_to_shadow", "synced_to_guest", "replayed",
                   "duplicates_dropped", "head", "tail")
@@ -226,38 +313,51 @@ class ShadowSyncMonitor(InvariantMonitor):
     def observe(self, sim) -> Iterable[str]:
         out = []
         for index, shadow in sorted(self.port.shadows.items()):
-            snap = dict(shadow.conservation())
+            snap = shadow.conservation()
             snap["head"] = shadow.registers.head
             snap["tail"] = shadow.registers.tail
-            prev = self._last.get(shadow.name, {})
+            cursors = shadow.guest_vq.cursors()
+            prev, prev_cursors, state = self._last.get(
+                shadow.name, ({}, None, None))
+            if snap == prev and cursors == prev_cursors:
+                # Nothing moved: no rewinds, and the same state verdict.
+                out.extend(state)
+                continue
             for key in self._MONOTONIC:
                 if key in prev and snap[key] < prev[key]:
                     out.append(f"{shadow.name}: {key} rewound "
                                f"{prev[key]} -> {snap[key]}")
-            self._last[shadow.name] = snap
-            if snap["balance"] != 0:
-                out.append(
-                    f"{shadow.name}: conservation broken, balance="
-                    f"{snap['balance']} ({snap!r})")
-            if snap["tail"] > snap["head"]:
-                out.append(f"{shadow.name}: tail {snap['tail']} passed "
-                           f"head {snap['head']}")
-            pending = snap["head"] - snap["tail"]
-            if snap["queued"] < pending:
-                out.append(
-                    f"{shadow.name}: {pending} entries published but only "
-                    f"{snap['queued']} queued (backend would read junk)")
-            cursors = shadow.guest_vq.cursors()
-            if snap["synced_to_shadow"] != cursors["last_avail"]:
-                out.append(
-                    f"{shadow.name}: synced_to_shadow="
-                    f"{snap['synced_to_shadow']} != guest last_avail="
-                    f"{cursors['last_avail']} (sync window broken)")
-            if snap["synced_to_guest"] != cursors["used_idx"]:
-                out.append(
-                    f"{shadow.name}: synced_to_guest="
-                    f"{snap['synced_to_guest']} != guest used_idx="
-                    f"{cursors['used_idx']} (writeback window broken)")
+            state = self._state_checks(shadow.name, snap, cursors)
+            self._last[shadow.name] = (snap, cursors, state)
+            out.extend(state)
+        return out
+
+    @staticmethod
+    def _state_checks(name: str, snap: Dict[str, int],
+                      cursors: Dict[str, int]) -> List[str]:
+        out = []
+        if snap["balance"] != 0:
+            out.append(
+                f"{name}: conservation broken, balance="
+                f"{snap['balance']} ({snap!r})")
+        if snap["tail"] > snap["head"]:
+            out.append(f"{name}: tail {snap['tail']} passed "
+                       f"head {snap['head']}")
+        pending = snap["head"] - snap["tail"]
+        if snap["queued"] < pending:
+            out.append(
+                f"{name}: {pending} entries published but only "
+                f"{snap['queued']} queued (backend would read junk)")
+        if snap["synced_to_shadow"] != cursors["last_avail"]:
+            out.append(
+                f"{name}: synced_to_shadow="
+                f"{snap['synced_to_shadow']} != guest last_avail="
+                f"{cursors['last_avail']} (sync window broken)")
+        if snap["synced_to_guest"] != cursors["used_idx"]:
+            out.append(
+                f"{name}: synced_to_guest="
+                f"{snap['synced_to_guest']} != guest used_idx="
+                f"{cursors['used_idx']} (writeback window broken)")
         return out
 
 
@@ -265,11 +365,13 @@ class ConservationMonitor(InvariantMonitor):
     """Byte/token conservation through PCIe links, DMA, rate limiters.
 
     ``counters`` maps a label to a zero-argument callable returning a
-    dict of monotonic counters (``PcieLink.counters``,
+    fresh dict of monotonic counters (``PcieLink.counters``,
     ``DmaEngine.counters``); any value that shrinks between samples is
-    flagged. ``buckets`` maps a label to a :class:`TokenBucket`; its
-    raw token level must stay within ``[0, burst]`` (reading the raw
-    field keeps this monitor side-effect free — see module docstring).
+    flagged, and while a label's snapshot is unchanged its previous
+    negative-counter messages are replayed. ``buckets`` maps a label
+    to a :class:`TokenBucket`; its raw token level must stay within
+    ``[0, burst]`` (reading the raw field keeps this monitor
+    side-effect free — see module docstring).
     """
 
     name = "conservation"
@@ -278,21 +380,33 @@ class ConservationMonitor(InvariantMonitor):
                  buckets: Dict[str, object] = None):
         self.counters = dict(counters)
         self.buckets = dict(buckets or {})
-        self._last: Dict[str, Dict[str, float]] = {}
+        self._labels = sorted(self.counters)
+        self._bucket_labels = sorted(self.buckets)
+        # Per label: the last snapshot and its negative-counter
+        # messages, replayed while the snapshot is unchanged.
+        self._last: Dict[str, Tuple[Dict[str, float], List[str]]] = {}
 
     def observe(self, sim) -> Iterable[str]:
         out = []
-        for label in sorted(self.counters):
+        for label in self._labels:
             snap = self.counters[label]()
-            prev = self._last.get(label, {})
+            prev, negative = self._last.get(label, (None, None))
+            if snap == prev:
+                # Nothing shrank; the same counters are negative.
+                out.extend(negative)
+                continue
+            prev = prev or {}
+            negative = []
             for key, value in snap.items():
                 if key in prev and value < prev[key] - _EPS:
                     out.append(f"{label}: counter {key} shrank "
                                f"{prev[key]} -> {value}")
                 if value < -_EPS:
-                    out.append(f"{label}: counter {key} negative: {value}")
-            self._last[label] = snap
-        for label in sorted(self.buckets):
+                    message = f"{label}: counter {key} negative: {value}"
+                    out.append(message)
+                    negative.append(message)
+            self._last[label] = (snap, negative)
+        for label in self._bucket_labels:
             bucket = self.buckets[label]
             tokens = bucket._tokens  # raw read: .tokens would refill
             if tokens < -_EPS or tokens > bucket.burst + _EPS:

@@ -340,21 +340,6 @@ class VirtQueue:
             "last_used": self._last_used,
         }
 
-    def head_counts(self) -> Tuple[dict, dict]:
-        """``(avail_counts, used_counts)`` — per-head occurrence counts.
-
-        A head may legitimately appear in the avail history more than
-        once (reposts after a timeout), but exactly-once delivery means
-        no head is ever *used* more often than it was made available.
-        """
-        avail: dict = {}
-        for head in self.avail_ring:
-            avail[head] = avail.get(head, 0) + 1
-        used: dict = {}
-        for head, _written in self.used_ring:
-            used[head] = used.get(head, 0) + 1
-        return avail, used
-
     # ------------------------------------------------------------------
     # Data access helpers (device side)
     # ------------------------------------------------------------------
